@@ -33,7 +33,7 @@ if git_rev="$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null)"; then
 fi
 
 "$bench_micro" \
-  --benchmark_filter='BM_(ExactErrorRate|ExactErrorRateScalar|NeighborTable|NeighborTableScalar|ComplexityFactor|ComplexityFactorScalar|ErrorRateKbit|ErrorRateTracker|SampledErrorRate)(/|$)' \
+  --benchmark_filter='BM_(ExactErrorRate|ExactErrorRateScalar|NeighborTable|NeighborTableScalar|ComplexityFactor|ComplexityFactorScalar|ErrorRateKbit|SampledErrorRate)(/|$)' \
   --benchmark_repetitions=1 \
   --json "$output"
 

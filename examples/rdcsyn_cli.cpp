@@ -9,11 +9,14 @@
 //       ranking | incremental | lcf (default ranking).
 //   rdcsyn_cli synth  <in.pla> [-o out] [--format verilog|blif|aiger]
 //              [--delay] [--resyn] [--policy P ...] [--pipeline "<spec>"]
+//              [--json report.json]
 //       Full flow: assignment, minimization, mapping; writes the mapped
 //       netlist (or the AIG for aiger) and prints the QoR report.
 //       --pipeline replaces the canonical flow with an explicit pass
 //       spec, e.g. "assign:ranking(0.5) | espresso | factor | aig |
-//       map:power | analyze | error_rate".
+//       map:power | analyze | error_rate"; the spec then carries the
+//       recipe, so --policy/--fraction/--threshold/--resyn/--delay are
+//       rejected.
 //   rdcsyn_cli batch  <a.pla> <b.pla> ... --pipeline "<spec>"
 //              [--json report.json]
 //       Fans the pipeline over every circuit (RDC_THREADS) with
@@ -65,6 +68,8 @@ int usage() {
       "                    [--delay] [--resyn] [--lib file.lib] [--tb tb.v]\n"
       "                    [--policy ...] [--pipeline \"<spec>\"] [--json "
       "out.json]\n"
+      "      --pipeline replaces --policy/--fraction/--threshold/--resyn/"
+      "--delay.\n"
       "  rdcsyn_cli batch  <a.pla> <b.pla> ... --pipeline \"<spec>\"\n"
       "                    [--json report.json] [--retries N]\n"
       "      Runs the pipeline over every circuit in parallel "
@@ -106,6 +111,9 @@ struct Args {
   int retries = 1;  ///< total attempts per circuit (batch), like rdc_batch
   bool delay = false;
   bool resyn = false;
+  /// Set by --policy/--fraction/--threshold/--resyn/--delay: canonical-flow
+  /// knobs that an explicit --pipeline spec replaces.
+  bool flow_knobs = false;
 };
 
 bool parse_args(int argc, char** argv, int first, Args& args) {
@@ -120,6 +128,7 @@ bool parse_args(int argc, char** argv, int first, Args& args) {
       args.output = argv[++i];
     } else if (a == "--policy" && i + 1 < argc) {
       args.policy = argv[++i];
+      args.flow_knobs = true;
     } else if (a == "--format" && i + 1 < argc) {
       args.format = argv[++i];
     } else if (a == "--lib" && i + 1 < argc) {
@@ -135,12 +144,16 @@ bool parse_args(int argc, char** argv, int first, Args& args) {
       if (args.retries < 1) return false;
     } else if (a == "--fraction") {
       if (!value(args.fraction)) return false;
+      args.flow_knobs = true;
     } else if (a == "--threshold") {
       if (!value(args.threshold)) return false;
+      args.flow_knobs = true;
     } else if (a == "--delay") {
       args.delay = true;
+      args.flow_knobs = true;
     } else if (a == "--resyn") {
       args.resyn = true;
+      args.flow_knobs = true;
     } else if (a[0] != '-') {
       if (args.input.empty()) args.input = a;
       args.inputs.push_back(a);
@@ -204,9 +217,48 @@ bool write_text_file(const std::string& path, const std::string& text) {
   return true;
 }
 
+/// Writes synth's artifacts: the `-o` netlist in `--format` (`aig` is what
+/// aiger writes) and the `--tb` testbench. Returns an exit code.
+int write_synth_outputs(const Args& args, const Netlist& netlist,
+                        const Aig& aig, const CellLibrary& library,
+                        const std::string& name) {
+  if (!args.output.empty()) {
+    std::ofstream out(args.output);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", args.output.c_str());
+      return 1;
+    }
+    if (args.format == "verilog")
+      write_verilog(netlist, library, name, out);
+    else if (args.format == "blif")
+      write_blif(netlist, name, out);
+    else
+      write_aiger(aig, out);
+    std::printf("wrote %s (%s)\n", args.output.c_str(), args.format.c_str());
+  }
+  if (!args.testbench.empty()) {
+    std::ofstream tb(args.testbench);
+    if (!tb) {
+      std::fprintf(stderr, "cannot write %s\n", args.testbench.c_str());
+      return 1;
+    }
+    write_testbench(netlist, name, tb);
+    std::printf("wrote %s (self-checking testbench)\n",
+                args.testbench.c_str());
+  }
+  return 0;
+}
+
 /// `synth --pipeline "<spec>"`: run an explicit pass sequence instead of
 /// the canonical flow and print the flow report JSON.
 int cmd_pipeline(const Args& args) {
+  if (args.flow_knobs) {
+    std::fprintf(stderr,
+                 "synth: --policy/--fraction/--threshold/--resyn/--delay "
+                 "configure the canonical flow; put them in the --pipeline "
+                 "spec\n");
+    return 2;
+  }
   exec::Result<flow::Pipeline> pipeline = flow::parse_pipeline(args.pipeline);
   if (!pipeline.ok()) {
     std::fprintf(stderr, "error: %s\n", pipeline.status().to_string().c_str());
@@ -214,7 +266,6 @@ int cmd_pipeline(const Args& args) {
   }
   const IncompleteSpec spec = load_pla(args.input);
   FlowOptions options;
-  options.objective = args.delay ? OptimizeFor::kDelay : OptimizeFor::kPower;
   CellLibrary custom_lib = CellLibrary::generic70();
   if (!args.liberty.empty()) {
     custom_lib = load_liberty(args.liberty);
@@ -232,22 +283,15 @@ int cmd_pipeline(const Args& args) {
   } else {
     std::printf("%s\n", report.c_str());
   }
-  if (!args.output.empty()) {
-    if (!design.has(flow::Artifact::kNetlist)) {
-      std::fprintf(stderr,
-                   "-o given but the pipeline produced no netlist (add a "
-                   "map:* pass)\n");
-      return 2;
-    }
-    std::ofstream out(args.output);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", args.output.c_str());
-      return 1;
-    }
-    write_verilog(design.netlist(), custom_lib, spec.name(), out);
-    std::printf("wrote %s (verilog)\n", args.output.c_str());
+  if ((!args.output.empty() || !args.testbench.empty()) &&
+      !design.has(flow::Artifact::kNetlist)) {
+    std::fprintf(stderr,
+                 "-o/--tb given but the pipeline produced no netlist (add a "
+                 "map:* pass)\n");
+    return 2;
   }
-  return 0;
+  return write_synth_outputs(args, design.netlist(), design.aig(), custom_lib,
+                             spec.name());
 }
 
 /// `cachekey <in.pla> --pipeline "<spec>"`: the serve result-cache key for
@@ -313,6 +357,15 @@ int cmd_batch(const Args& args) {
 }
 
 int cmd_synth(const Args& args) {
+  if (args.format != "verilog" && args.format != "blif" &&
+      args.format != "aiger") {
+    std::fprintf(stderr, "synth: unknown format %s\n", args.format.c_str());
+    return 2;
+  }
+  if (args.retries != 1) {
+    std::fprintf(stderr, "synth: --retries applies to batch only\n");
+    return 2;
+  }
   if (!args.pipeline.empty()) return cmd_pipeline(args);
   const IncompleteSpec spec = load_pla(args.input);
   DcPolicy policy = DcPolicy::kConventional;
@@ -341,39 +394,19 @@ int cmd_synth(const Args& args) {
       "error rate %.4f\n",
       spec.name().c_str(), result.stats.gates, result.stats.area,
       result.stats.delay_ps, result.stats.power_uw, result.error_rate);
+  if (!args.json.empty()) {
+    if (!write_text_file(args.json, result.report.to_json())) return 1;
+    std::printf("wrote %s\n", args.json.c_str());
+  }
 
-  if (!args.output.empty()) {
-    std::ofstream out(args.output);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", args.output.c_str());
-      return 1;
-    }
-    if (args.format == "verilog") {
-      write_verilog(result.netlist, custom_lib, spec.name(), out);
-    } else if (args.format == "blif") {
-      write_blif(result.netlist, spec.name(), out);
-    } else if (args.format == "aiger") {
-      Aig aig(spec.num_inputs());
-      for (const auto& f : result.implementation.outputs())
-        aig.add_output(aig.build(factor(minimize(f))));
-      write_aiger(aig, out);
-    } else {
-      std::fprintf(stderr, "synth: unknown format %s\n", args.format.c_str());
-      return 2;
-    }
-    std::printf("wrote %s (%s)\n", args.output.c_str(), args.format.c_str());
-  }
-  if (!args.testbench.empty()) {
-    std::ofstream tb(args.testbench);
-    if (!tb) {
-      std::fprintf(stderr, "cannot write %s\n", args.testbench.c_str());
-      return 1;
-    }
-    write_testbench(result.netlist, spec.name(), tb);
-    std::printf("wrote %s (self-checking testbench)\n",
-                args.testbench.c_str());
-  }
-  return 0;
+  // aiger writes a fresh AIG of the final implementation; the netlist
+  // formats write the mapped result.
+  Aig aig(spec.num_inputs());
+  if (args.format == "aiger")
+    for (const auto& f : result.implementation.outputs())
+      aig.add_output(aig.build(factor(minimize(f))));
+  return write_synth_outputs(args, result.netlist, aig, custom_lib,
+                             spec.name());
 }
 
 Aig load_network(const std::string& path) {

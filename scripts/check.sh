@@ -115,6 +115,20 @@ grep -q "at offset" "$smoke_dir/parse_err.txt" || {
   cat "$smoke_dir/parse_err.txt" >&2
   exit 1
 }
+# The incremental ablation ranks under the default model only: any other
+# @model on it must be rejected at parse time, not silently run as static
+# ranking.
+if ./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
+     --pipeline "assign:ranking_inc(0.5)@stuckat | espresso | factor | aig | map:power | analyze | error_rate" \
+     > /dev/null 2> "$smoke_dir/inc_model_err.txt"; then
+  echo "pipeline smoke: ranking_inc accepted a non-default fault model" >&2
+  exit 1
+fi
+grep -q "at offset" "$smoke_dir/inc_model_err.txt" || {
+  echo "pipeline smoke: ranking_inc model rejection lacks a byte offset" >&2
+  cat "$smoke_dir/inc_model_err.txt" >&2
+  exit 1
+}
 
 echo
 echo "== §16 cross-model smoke: fault models =="
@@ -233,6 +247,8 @@ RDC_METRICS="$smoke_dir/metrics.json:50" \
 RDC_EVENTS="$smoke_dir/events.jsonl" \
   ./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
   --json "$smoke_dir/telemetry_flow.json" > /dev/null
+./build/tools/rdc_json_check "$smoke_dir/telemetry_flow.json" \
+  schema phases metrics metrics.error_rate
 # The recognized schema tag makes rdc_json_check enforce the full
 # rdc.metrics.v1 key set; the greps pin the process-sampler gauge and a
 # work counter (their snake.case names contain dots, so no dotted path).
@@ -527,7 +543,7 @@ echo "== bench smoke: SIMD kernel snapshot validates =="
 # snapshot must be a structurally valid rdc.bench.report.v1 document that
 # records which backend produced it.
 ./build/bench/bench_micro \
-  --benchmark_filter='BM_(ExactErrorRate|ErrorRateTracker|SampledErrorRate)/16$' \
+  --benchmark_filter='BM_(ExactErrorRate|SampledErrorRate)/16$' \
   --benchmark_min_time=0.05 \
   --json "$smoke_dir/bench_simd.json" > /dev/null
 ./build/tools/rdc_json_check "$smoke_dir/bench_simd.json" \

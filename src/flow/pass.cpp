@@ -11,8 +11,6 @@
 #include "decomp/renode.hpp"
 #include "mapper/tree_map.hpp"
 #include "obs/counters.hpp"
-#include "reliability/complexity.hpp"
-#include "reliability/error_rate.hpp"
 #include "reliability/fault_model.hpp"
 #include "reliability/sampling.hpp"
 #include "sop/extract.hpp"
@@ -71,11 +69,6 @@ std::span<const NeighborTable> Design::spec_neighbors() {
   return spec_neighbors_;
 }
 
-ErrorRateTracker& Design::error_tracker() {
-  if (!error_tracker_.bound()) error_tracker_ = ErrorRateTracker(spec_);
-  return error_tracker_;
-}
-
 const reliability::FaultModel& Design::fault_model(
     const reliability::FaultModelSpec& model) {
   for (const auto& [spec, analyzer] : fault_models_)
@@ -88,6 +81,13 @@ exec::Status Pass::set_fault_model(const reliability::FaultModelSpec&) {
   return exec::Status(exec::StatusCode::kInvalidArgument,
                       std::string("pass '") + name() +
                           "' does not accept a fault model annotation");
+}
+
+const reliability::FaultModel& Pass::analyzer(Design& design) const {
+  const reliability::FaultModelSpec& model = effective_fault_model(design);
+  if (fault_model_.has_value() || !model.is_default())
+    design.fault_model_label = model.canonical();
+  return design.fault_model(model);
 }
 
 exec::Status Design::require(Artifact artifact, const char* who) const {
@@ -125,84 +125,6 @@ bool parse_unsigned_arg(const std::string& text, unsigned& out) {
 }
 
 // --- DC assignment -------------------------------------------------------
-
-/// Model-aware generalization of ranking_assign: candidates are ranked by
-/// |if_on - if_off| event mass under the chosen fault model and assigned to
-/// the phase adding the smaller mass. With bitflip(1) events (if_on = off
-/// neighbors, if_off = on neighbors) this reproduces the paper's ranked
-/// list decision-for-decision; the default pipeline still routes through
-/// the integer ranking_assign path, so its reports stay bit-identical.
-AssignmentResult model_ranking_assign(IncompleteSpec& working,
-                                      const IncompleteSpec& spec,
-                                      double fraction,
-                                      std::span<const NeighborTable> tables,
-                                      const reliability::FaultModel& model) {
-  struct Candidate {
-    std::uint32_t minterm;
-    double weight;
-    bool to_on;
-  };
-  AssignmentResult total;
-  for (unsigned o = 0; o < working.num_outputs(); ++o) {
-    TernaryTruthTable& f = working.output(o);
-    total.dc_before += f.dc_count();
-    const TernaryTruthTable& g = spec.output(o);
-    const std::vector<std::uint32_t> dcs = g.dc_minterms();
-    const std::vector<reliability::MintermEvents> events =
-        model.dc_assignment_events(g, tables[o]);
-    std::vector<Candidate> list;
-    for (std::size_t i = 0; i < dcs.size(); ++i) {
-      const double w = std::abs(events[i].if_on - events[i].if_off);
-      if (w > 0.0)
-        list.push_back({dcs[i], w, events[i].if_on < events[i].if_off});
-    }
-    std::stable_sort(list.begin(), list.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return a.weight > b.weight;
-                     });
-    const auto count = std::min(
-        list.size(), static_cast<std::size_t>(std::llround(
-                         fraction * static_cast<double>(list.size()))));
-    for (std::size_t i = 0; i < count; ++i) {
-      f.set_phase(list[i].minterm,
-                  list[i].to_on ? Phase::kOne : Phase::kZero);
-      ++total.assigned;
-      if (list[i].to_on) ++total.assigned_on;
-    }
-  }
-  obs::count(obs::Counter::kDcRankingAssigned, total.assigned);
-  return total;
-}
-
-/// Model-aware lcf_assign: the LC^f admission gate is unchanged (it
-/// measures spec structure, not the fault scenario); the phase decision and
-/// the tie filter use the model's event masses instead of neighbor counts.
-AssignmentResult model_lcf_assign(IncompleteSpec& working,
-                                  const IncompleteSpec& spec, double threshold,
-                                  bool assign_balanced,
-                                  std::span<const NeighborTable> tables,
-                                  const reliability::FaultModel& model) {
-  AssignmentResult total;
-  for (unsigned o = 0; o < working.num_outputs(); ++o) {
-    TernaryTruthTable& f = working.output(o);
-    total.dc_before += f.dc_count();
-    const TernaryTruthTable& g = spec.output(o);
-    const std::vector<std::uint32_t> dcs = g.dc_minterms();
-    const std::vector<reliability::MintermEvents> events =
-        model.dc_assignment_events(g, tables[o]);
-    for (std::size_t i = 0; i < dcs.size(); ++i) {
-      if (local_complexity_factor(g, tables[o], dcs[i]) >= threshold)
-        continue;
-      if (!assign_balanced && events[i].if_on == events[i].if_off) continue;
-      const bool to_on = events[i].if_on < events[i].if_off;
-      f.set_phase(dcs[i], to_on ? Phase::kOne : Phase::kZero);
-      ++total.assigned;
-      if (to_on) ++total.assigned_on;
-    }
-  }
-  obs::count(obs::Counter::kDcLcfAssigned, total.assigned);
-  return total;
-}
 
 class AssignPass final : public Pass {
  public:
@@ -244,8 +166,10 @@ class AssignPass final : public Pass {
   exec::Status set_fault_model(
       const reliability::FaultModelSpec& model) override {
     switch (kind_) {
-      case Kind::kRanking:
       case Kind::kRankingInc:
+        if (exec::Status s = check_incremental_model(model); !s.ok()) return s;
+        [[fallthrough]];
+      case Kind::kRanking:
       case Kind::kLcf:
       case Kind::kAll:
         return accept_fault_model(model);
@@ -257,65 +181,43 @@ class AssignPass final : public Pass {
   }
 
   exec::Status run(Design& design) override {
+    if (kind_ == Kind::kRankingInc)
+      if (exec::Status s =
+              check_incremental_model(effective_fault_model(design));
+          !s.ok())
+        return s;
     design.reset_working();
     IncompleteSpec& working = design.working();
     AssignmentResult result;
     const char* policy = "";
-    const reliability::FaultModelSpec& model = effective_fault_model(design);
-    const bool reliability_kind =
-        kind_ == Kind::kRanking || kind_ == Kind::kRankingInc ||
-        kind_ == Kind::kLcf || kind_ == Kind::kAll;
-    // An explicit annotation or a non-default options model stamps the
-    // report; only a genuinely non-default model leaves the paper's
-    // integer paths (an explicit @bitflip makes identical decisions there).
-    const bool model_aware = reliability_kind && !model.is_default();
-    if (reliability_kind && (fault_model().has_value() || !model.is_default()))
-      design.fault_model_label = model.canonical();
+    // The reliability policies hand in the Design's cached per-output
+    // NeighborTables: reset_working() just made working == spec, and all
+    // of them evaluate their metrics on the input specification, so the
+    // tables stay valid however often the pass re-runs.
     switch (kind_) {
       case Kind::kConventional:
         // All DCs stay with the downstream minimizer (the baseline).
         policy = "conventional";
         break;
-      // The reliability policies hand in the Design's cached per-output
-      // NeighborTables: reset_working() just made working == spec, and all
-      // of them evaluate their metrics on the input specification, so the
-      // tables stay valid however often the pass re-runs.
       case Kind::kRanking:
-        result = model_aware
-                     ? model_ranking_assign(working, design.spec(), param_,
-                                            design.spec_neighbors(),
-                                            design.fault_model(model))
-                     : ranking_assign(working, param_,
-                                      design.spec_neighbors());
+        result = ranking_assign(working, param_, design.spec_neighbors(),
+                                analyzer(design));
         policy = "ranking_fraction";
         break;
       case Kind::kRankingInc:
-        // Incremental neighbor-count maintenance is a bitflip(1)-specific
-        // optimization; any other model falls back to the static
-        // model-aware ranking (same decisions, non-incremental cost).
-        result = model_aware
-                     ? model_ranking_assign(working, design.spec(), param_,
-                                            design.spec_neighbors(),
-                                            design.fault_model(model))
-                     : ranking_assign_incremental(working, param_,
-                                                  design.spec_neighbors());
+        analyzer(design);  // names an explicit @bitflip in the report
+        result = ranking_assign_incremental(working, param_,
+                                            design.spec_neighbors());
         policy = "ranking_incremental";
         break;
       case Kind::kLcf:
-        result = model_aware
-                     ? model_lcf_assign(working, design.spec(), param_,
-                                        balanced_, design.spec_neighbors(),
-                                        design.fault_model(model))
-                     : lcf_assign(working, param_, balanced_,
-                                  design.spec_neighbors());
+        result = lcf_assign(working, param_, balanced_,
+                            design.spec_neighbors(), analyzer(design));
         policy = "lcf_threshold";
         break;
       case Kind::kAll:
-        result = model_aware
-                     ? model_ranking_assign(working, design.spec(), 1.0,
-                                            design.spec_neighbors(),
-                                            design.fault_model(model))
-                     : ranking_assign(working, 1.0, design.spec_neighbors());
+        result = ranking_assign(working, 1.0, design.spec_neighbors(),
+                                analyzer(design));
         policy = "all_reliability";
         break;
       case Kind::kZero:
@@ -336,6 +238,15 @@ class AssignPass final : public Pass {
   }
 
  private:
+  /// The incremental variant maintains neighbor counts, which rank DCs
+  /// under the paper's model only.
+  static exec::Status check_incremental_model(
+      const reliability::FaultModelSpec& model) {
+    if (model.is_default()) return {};
+    return invalid("pass 'assign:ranking_inc' supports only the default "
+                   "bitflip model, got '" + model.canonical() + "'");
+  }
+
   Kind kind_;
   double param_;
   bool balanced_;
@@ -546,34 +457,9 @@ class AnalyzePass final : public Pass {
   }
 };
 
-/// Largest input count the exact estimator is asked to handle before the
-/// `error_rate` pass switches itself to the sampled estimator. Specs today
-/// are capped at kMaxInputs = 20, so the exact path always wins; the policy
-/// is what keeps the pass meaningful if that cap is ever lifted.
-constexpr unsigned kExactErrorRateInputLimit = 20;
-
 /// Default Monte-Carlo budget when sampling (the `error_rate:sampled(1e6)`
 /// canonical default).
 constexpr std::uint64_t kDefaultErrorRateSamples = 1000000;
-
-/// Shared sampled-estimator body: seeded from FlowOptions::sample_seed so
-/// the report is byte-deterministic for a fixed (spec, pipeline, seed).
-/// `model` null selects the default bitflip(1) estimator (the pre-§16 code
-/// path, kept verbatim so default reports stay byte-identical).
-void run_sampled_error_rate(Design& design, std::uint64_t samples,
-                            const reliability::FaultModel* model = nullptr) {
-  Rng rng(design.options().sample_seed);
-  const SampledRate estimate =
-      model != nullptr
-          ? model->sampled_rate(design.working(), design.spec(), samples, rng)
-          : sampled_error_rate_ci(design.working(), design.spec(), 1, samples,
-                                  rng);
-  design.error_rate = estimate.rate;
-  design.estimator.sampled = true;
-  design.estimator.ci_low = estimate.ci_low;
-  design.estimator.ci_high = estimate.ci_high;
-  design.estimator.samples = estimate.samples;
-}
 
 class ErrorRatePass final : public Pass {
  public:
@@ -594,31 +480,8 @@ class ErrorRatePass final : public Pass {
     // the implementation the exact rate is measured on.
     if (exec::Status s = design.require(Artifact::kCovers, name()); !s.ok())
       return s;
-    const reliability::FaultModelSpec& model = effective_fault_model(design);
-    if (fault_model().has_value() || !model.is_default())
-      design.fault_model_label = model.canonical();
-    if (!model.is_default()) {
-      const reliability::FaultModel& analyzer = design.fault_model(model);
-      if (design.spec().num_inputs() > kExactErrorRateInputLimit) {
-        run_sampled_error_rate(design, kDefaultErrorRateSamples, &analyzer);
-      } else {
-        design.error_rate =
-            analyzer.error_rate(design.working(), design.spec());
-        design.estimator = {};
-      }
-      design.produced(Artifact::kErrorRate);
-      return {};
-    }
-    if (design.spec().num_inputs() > kExactErrorRateInputLimit) {
-      run_sampled_error_rate(design, kDefaultErrorRateSamples);
-      design.produced(Artifact::kErrorRate);
-      return {};
-    }
-    // The tracker's update is bit-identical to exact_error_rate and throws
-    // the same invalid_argument when the working spec is not completely
-    // specified; on repeat evaluations it only pays for the minterms whose
-    // phase changed since the last one.
-    design.error_rate = design.error_tracker().update(design.working());
+    design.error_rate =
+        analyzer(design).error_rate(design.working(), design.spec());
     design.estimator = {};
     design.produced(Artifact::kErrorRate);
     return {};
@@ -647,12 +510,16 @@ class ErrorRateSampledPass final : public Pass {
   exec::Status run(Design& design) override {
     if (exec::Status s = design.require(Artifact::kCovers, name()); !s.ok())
       return s;
-    const reliability::FaultModelSpec& model = effective_fault_model(design);
-    if (fault_model().has_value() || !model.is_default())
-      design.fault_model_label = model.canonical();
-    run_sampled_error_rate(
-        design, samples_,
-        model.is_default() ? nullptr : &design.fault_model(model));
+    // Seeded from FlowOptions::sample_seed so the report is
+    // byte-deterministic for a fixed (spec, pipeline, seed).
+    Rng rng(design.options().sample_seed);
+    const SampledRate estimate = analyzer(design).sampled_rate(
+        design.working(), design.spec(), samples_, rng);
+    design.error_rate = estimate.rate;
+    design.estimator.sampled = true;
+    design.estimator.ci_low = estimate.ci_low;
+    design.estimator.ci_high = estimate.ci_high;
+    design.estimator.samples = estimate.samples;
     design.produced(Artifact::kErrorRate);
     return {};
   }

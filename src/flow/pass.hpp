@@ -32,7 +32,6 @@
 #include "obs/report.hpp"
 #include "pla/cover.hpp"
 #include "reliability/assignment.hpp"
-#include "reliability/error_tracker.hpp"
 #include "reliability/fault_model.hpp"
 #include "sop/factor.hpp"
 #include "tt/incomplete_spec.hpp"
@@ -145,19 +144,15 @@ class Design {
   void reset_working() { working_ = spec_; }
 
   // --- shared caches ------------------------------------------------------
-  // Both caches key off spec_, which is immutable for the Design's
-  // lifetime, so neither ever needs invalidation.
+  // The tables key off spec_, which is immutable for the Design's
+  // lifetime, and the analyzers off the model alone, so neither cache ever
+  // needs invalidation.
 
   /// Per-output NeighborTables of the pristine spec, built on first use.
   /// Every assign pass evaluates its metrics on the input specification
   /// (the paper's static formulation), so one table per output serves all
   /// of them — re-running `assign:*` no longer rebuilds the tables.
   std::span<const NeighborTable> spec_neighbors();
-
-  /// Incremental error-rate tracker bound to spec_, created on first use.
-  /// Successive `error_rate` passes pay only for the minterms whose phase
-  /// changed since the previous evaluation (DESIGN.md §12).
-  ErrorRateTracker& error_tracker();
 
   /// Analyzer for `model`, built on first use and cached by spec value, so
   /// repeated passes under the same annotation share one instance.
@@ -179,7 +174,6 @@ class Design {
   unsigned valid_ = 0;
   std::vector<NeighborTable> spec_neighbors_;
   bool spec_neighbors_built_ = false;
-  ErrorRateTracker error_tracker_;  ///< unbound until first error_tracker()
   std::vector<std::pair<reliability::FaultModelSpec,
                         std::unique_ptr<reliability::FaultModel>>>
       fault_models_;
@@ -244,6 +238,11 @@ class Pass {
       const Design& design) const {
     return fault_model_ ? *fault_model_ : design.options().fault_model;
   }
+
+  /// The Design's cached analyzer for effective_fault_model(). Also names
+  /// the model in the report (Design::fault_model_label) when it was
+  /// annotated or is not the default.
+  const reliability::FaultModel& analyzer(Design& design) const;
 
  private:
   std::optional<reliability::FaultModelSpec> fault_model_;

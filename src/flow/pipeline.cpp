@@ -315,8 +315,10 @@ std::string canonical_flow_spec(DcPolicy policy, const FlowOptions& options) {
              ")" + model_suffix;
       break;
     case DcPolicy::kRankingIncremental:
+      // Never annotated: the pass accepts only the default model, and
+      // run_flow rejects any other up front.
       spec = "assign:ranking_inc(" + format_double(options.ranking_fraction) +
-             ")" + model_suffix;
+             ")";
       break;
     case DcPolicy::kLcfThreshold:
       spec = "assign:lcf(" + format_double(options.lcf_threshold) +

@@ -39,6 +39,14 @@ exec::Status validate_options(DcPolicy policy, const FlowOptions& options,
                         "fault_model bitflip_weighted needs " +
                             std::to_string(num_inputs) + " weights, got " +
                             std::to_string(options.fault_model.weights().size()));
+  // The incremental ablation ranks by neighbor counts, i.e. under the
+  // paper's model only; its canonical spec would not parse otherwise.
+  if (policy == DcPolicy::kRankingIncremental &&
+      !options.fault_model.is_default())
+    return exec::Status(exec::StatusCode::kInvalidArgument,
+                        "policy ranking_incremental supports only the "
+                        "default bitflip fault model, got " +
+                            options.fault_model.canonical());
   switch (policy) {
     case DcPolicy::kRankingFraction:
     case DcPolicy::kRankingIncremental:

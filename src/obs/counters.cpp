@@ -19,8 +19,6 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "dc.incremental_assigned",
     "dc.lcf_assigned",
     "dc.conventional_assigned",
-    "error_tracker.syncs",
-    "error_tracker.flips",
     "espresso.calls",
     "espresso.iterations",
     "aig.ands_built",

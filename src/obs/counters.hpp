@@ -32,8 +32,6 @@ enum class Counter : unsigned {
   kDcIncrementalAssigned,   ///< DCs assigned by ranking_assign_incremental
   kDcLcfAssigned,           ///< DCs assigned by lcf_assign
   kDcConventionalAssigned,  ///< DCs assigned by conventional_assign
-  kErrorTrackerSyncs,       ///< ErrorRateTracker full per-output recomputes
-  kErrorTrackerFlips,       ///< ErrorRateTracker O(n) single-flip deltas
   kEspressoCalls,           ///< espresso() invocations
   kEspressoIterations,      ///< reduce/expand/irredundant loop iterations
   kAigAndsBuilt,            ///< AND nodes in flow-constructed AIGs

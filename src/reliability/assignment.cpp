@@ -4,42 +4,49 @@
 #include <cassert>
 #include <cmath>
 #include <queue>
+#include <utility>
 
 #include "obs/counters.hpp"
 #include "reliability/complexity.hpp"
-#include "reliability/error_tracker.hpp"
-#include "tt/neighbor_stats.hpp"
 
 namespace rdc {
 namespace {
 
-struct RankedDc {
+using reliability::FaultModel;
+using reliability::MintermEvents;
+
+/// One DC decision: the phase adding less event mass under the model.
+struct Decision {
   std::uint32_t minterm = 0;
-  unsigned weight = 0;  ///< |on-neighbors - off-neighbors|
-  bool to_on = false;   ///< majority phase
+  bool to_on = false;
 };
 
-/// Builds the ranked DC list of Fig. 3: only DCs with non-zero weight, in
-/// decreasing weight order (ties by minterm index for determinism).
-std::vector<RankedDc> ranked_dcs(const TernaryTruthTable& f,
-                                 const NeighborTable& neighbors) {
-  std::vector<RankedDc> list;
-  for (std::uint32_t m : f.dc_minterms()) {
-    const NeighborCounts& c = neighbors.at(m);
-    const unsigned w =
-        c.on > c.off ? unsigned{c.on} - c.off : unsigned{c.off} - c.on;
-    if (w != 0) list.push_back({m, w, c.on > c.off});
+/// Fig. 3's ranked DC list under `model`: only DCs whose phases add
+/// different event mass, in decreasing |if_on - if_off| order (ties by
+/// minterm index — the stable sort keeps dc_minterms() order).
+std::vector<Decision> ranked_list(const TernaryTruthTable& f,
+                                  const NeighborTable& neighbors,
+                                  const FaultModel& model) {
+  const std::vector<std::uint32_t> dcs = f.dc_minterms();
+  const std::vector<MintermEvents> events =
+      model.dc_assignment_events(f, neighbors);
+  std::vector<std::pair<double, Decision>> ranked;
+  for (std::size_t i = 0; i < dcs.size(); ++i) {
+    const double w = std::abs(events[i].if_on - events[i].if_off);
+    if (w > 0.0)
+      ranked.push_back({w, {dcs[i], events[i].if_on < events[i].if_off}});
   }
-  std::stable_sort(list.begin(), list.end(),
-                   [](const RankedDc& a, const RankedDc& b) {
-                     return a.weight > b.weight;
-                   });
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::vector<Decision> list;
+  list.reserve(ranked.size());
+  for (const auto& entry : ranked) list.push_back(entry.second);
   return list;
 }
 
-AssignmentResult apply_prefix(TernaryTruthTable& f,
-                              const std::vector<RankedDc>& list,
-                              std::size_t count) {
+/// Applies the first `count` decisions (all of them if fewer).
+AssignmentResult apply(TernaryTruthTable& f, const std::vector<Decision>& list,
+                       std::size_t count) {
   AssignmentResult result;
   result.dc_before = f.dc_count();
   count = std::min(count, list.size());
@@ -51,50 +58,38 @@ AssignmentResult apply_prefix(TernaryTruthTable& f,
   return result;
 }
 
-template <typename Pass>
-AssignmentResult for_each_output(IncompleteSpec& spec, Pass pass) {
-  AssignmentResult total;
-  for (unsigned o = 0; o < spec.num_outputs(); ++o) {
-    const AssignmentResult r = pass(spec.output(o), o);
-    total.dc_before += r.dc_before;
-    total.assigned += r.assigned;
-    total.assigned_on += r.assigned_on;
-  }
-  return total;
-}
-
-}  // namespace
-
-AssignmentResult ranking_assign(TernaryTruthTable& f, double fraction) {
-  return ranking_assign(f, fraction, NeighborTable(f));
-}
-
 AssignmentResult ranking_assign(TernaryTruthTable& f, double fraction,
-                                const NeighborTable& neighbors) {
+                                const NeighborTable& neighbors,
+                                const FaultModel& model) {
   assert(fraction >= 0.0 && fraction <= 1.0);
-  const std::vector<RankedDc> list = ranked_dcs(f, neighbors);
+  const std::vector<Decision> list = ranked_list(f, neighbors, model);
   // Fig. 3 assigns indices 0 .. fraction * DC_List.length.
   const auto count = static_cast<std::size_t>(
       std::llround(fraction * static_cast<double>(list.size())));
-  const AssignmentResult result = apply_prefix(f, list, count);
+  const AssignmentResult result = apply(f, list, count);
   obs::count(obs::Counter::kDcRankingAssigned, result.assigned);
   return result;
 }
 
-AssignmentResult ranking_assign_count(TernaryTruthTable& f,
-                                      std::uint32_t count) {
-  return ranking_assign_count(f, count, NeighborTable(f));
-}
-
-AssignmentResult ranking_assign_count(TernaryTruthTable& f,
-                                      std::uint32_t count,
-                                      const NeighborTable& neighbors) {
-  return apply_prefix(f, ranked_dcs(f, neighbors), count);
-}
-
-AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
-                                            double fraction) {
-  return ranking_assign_incremental(f, fraction, NeighborTable(f));
+AssignmentResult lcf_assign(TernaryTruthTable& f, double threshold,
+                            bool assign_balanced,
+                            const NeighborTable& neighbors,
+                            const FaultModel& model) {
+  // Collect decisions first so that assignments made by this pass do not
+  // perturb the LC^f computations of later minterms (the paper's Fig. 7
+  // evaluates all metrics on the input specification).
+  const std::vector<std::uint32_t> dcs = f.dc_minterms();
+  const std::vector<MintermEvents> events =
+      model.dc_assignment_events(f, neighbors);
+  std::vector<Decision> decisions;
+  for (std::size_t i = 0; i < dcs.size(); ++i) {
+    if (local_complexity_factor(f, neighbors, dcs[i]) >= threshold) continue;
+    if (!assign_balanced && events[i].if_on == events[i].if_off) continue;
+    decisions.push_back({dcs[i], events[i].if_on < events[i].if_off});
+  }
+  const AssignmentResult result = apply(f, decisions, decisions.size());
+  obs::count(obs::Counter::kDcLcfAssigned, result.assigned);
+  return result;
 }
 
 AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
@@ -103,6 +98,14 @@ AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
   assert(fraction >= 0.0 && fraction <= 1.0);
   AssignmentResult result;
   result.dc_before = f.dc_count();
+
+  // Neighbor counts kept current as DCs get assigned.
+  std::vector<NeighborCounts> counts(f.size());
+  for (std::uint32_t m = 0; m < f.size(); ++m) counts[m] = neighbors.at(m);
+  const auto weight = [&](std::uint32_t m) {
+    const NeighborCounts& c = counts[m];
+    return c.on > c.off ? unsigned{c.on} - c.off : unsigned{c.off} - c.on;
+  };
 
   // Max-heap with lazy revalidation: entries carry the weight they were
   // pushed with; stale entries (weight changed since) are re-pushed.
@@ -115,13 +118,11 @@ AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
     }
   };
 
-  NeighborhoodTracker tracker(f, neighbors);
-
   std::priority_queue<Entry> heap;
   std::size_t ranked = 0;  // nonzero-weight DCs, the ranked-list length
   for (std::uint32_t m : f.dc_minterms())
-    if (tracker.majority_weight(m) != 0) {
-      heap.push({tracker.majority_weight(m), m});
+    if (weight(m) != 0) {
+      heap.push({weight(m), m});
       ++ranked;
     }
 
@@ -129,107 +130,106 @@ AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
   const std::size_t budget = static_cast<std::size_t>(
       std::llround(fraction * static_cast<double>(ranked)));
 
-  std::size_t assigned = 0;
-  while (assigned < budget && !heap.empty()) {
+  while (result.assigned < budget && !heap.empty()) {
     const Entry top = heap.top();
     heap.pop();
     if (!f.is_dc(top.minterm)) continue;  // already assigned
-    const unsigned w = tracker.majority_weight(top.minterm);
+    const unsigned w = weight(top.minterm);
     if (w == 0) continue;  // majority vanished; drop per Fig. 3's filter
     if (w != top.weight) {
       heap.push({w, top.minterm});  // stale entry: reinsert with fresh weight
       continue;
     }
-    const bool to_on = tracker.majority_on(top.minterm);
+    const bool to_on = counts[top.minterm].on > counts[top.minterm].off;
     f.set_phase(top.minterm, to_on ? Phase::kOne : Phase::kZero);
-    ++assigned;
     ++result.assigned;
     if (to_on) ++result.assigned_on;
     // The assignment converts one DC neighbor of each adjacent minterm into
-    // an on/off neighbor; the tracker refreshes their counts and we requeue
-    // still-unassigned neighbors whose weight became non-zero.
-    tracker.assign(top.minterm, to_on, [&](std::uint32_t nbr) {
-      if (f.is_dc(nbr) && tracker.majority_weight(nbr) != 0)
-        heap.push({tracker.majority_weight(nbr), nbr});
-    });
+    // an on/off neighbor; requeue still-unassigned neighbors whose weight
+    // became non-zero.
+    for (unsigned j = 0; j < f.num_inputs(); ++j) {
+      const std::uint32_t nbr = flip_bit(top.minterm, j);
+      NeighborCounts& c = counts[nbr];
+      --c.dc;
+      if (to_on)
+        ++c.on;
+      else
+        ++c.off;
+      if (f.is_dc(nbr) && weight(nbr) != 0) heap.push({weight(nbr), nbr});
+    }
   }
   obs::count(obs::Counter::kDcIncrementalAssigned, result.assigned);
   return result;
 }
 
-AssignmentResult lcf_assign(TernaryTruthTable& f, double threshold,
-                            bool assign_balanced) {
-  return lcf_assign(f, threshold, assign_balanced, NeighborTable(f));
+/// Runs `pass(f, table)` over every output with its prebuilt table (or a
+/// fresh one when `tables` is empty) and sums the counters.
+template <typename Pass>
+AssignmentResult for_each_output(IncompleteSpec& spec,
+                                 std::span<const NeighborTable> tables,
+                                 Pass pass) {
+  assert(tables.empty() || tables.size() == spec.num_outputs());
+  AssignmentResult total;
+  for (unsigned o = 0; o < spec.num_outputs(); ++o) {
+    TernaryTruthTable& f = spec.output(o);
+    const AssignmentResult r =
+        tables.empty() ? pass(f, NeighborTable(f)) : pass(f, tables[o]);
+    total.dc_before += r.dc_before;
+    total.assigned += r.assigned;
+    total.assigned_on += r.assigned_on;
+  }
+  return total;
+}
+
+}  // namespace
+
+AssignmentResult ranking_assign(TernaryTruthTable& f, double fraction,
+                                const FaultModel& model) {
+  return ranking_assign(f, fraction, NeighborTable(f), model);
+}
+
+AssignmentResult ranking_assign_count(TernaryTruthTable& f,
+                                      std::uint32_t count,
+                                      const FaultModel& model) {
+  return apply(f, ranked_list(f, NeighborTable(f), model), count);
 }
 
 AssignmentResult lcf_assign(TernaryTruthTable& f, double threshold,
-                            bool assign_balanced,
-                            const NeighborTable& neighbors) {
-  AssignmentResult result;
-  result.dc_before = f.dc_count();
-  // Collect decisions first so that assignments made by this pass do not
-  // perturb the LC^f and majority computations of later minterms (the
-  // paper's Fig. 7 evaluates all metrics on the input specification).
-  std::vector<std::pair<std::uint32_t, bool>> decisions;
-  for (std::uint32_t m : f.dc_minterms()) {
-    if (local_complexity_factor(f, neighbors, m) >= threshold) continue;
-    const NeighborCounts& c = neighbors.at(m);
-    if (!assign_balanced && c.on == c.off) continue;
-    decisions.emplace_back(m, c.on > c.off);
-  }
-  for (const auto& [m, to_on] : decisions) {
-    f.set_phase(m, to_on ? Phase::kOne : Phase::kZero);
-    ++result.assigned;
-    if (to_on) ++result.assigned_on;
-  }
-  obs::count(obs::Counter::kDcLcfAssigned, result.assigned);
-  return result;
+                            bool assign_balanced, const FaultModel& model) {
+  return lcf_assign(f, threshold, assign_balanced, NeighborTable(f), model);
 }
 
-AssignmentResult ranking_assign(IncompleteSpec& spec, double fraction) {
-  return for_each_output(spec, [&](TernaryTruthTable& f, unsigned) {
-    return ranking_assign(f, fraction);
-  });
+AssignmentResult ranking_assign_incremental(TernaryTruthTable& f,
+                                            double fraction) {
+  return ranking_assign_incremental(f, fraction, NeighborTable(f));
 }
 
 AssignmentResult ranking_assign(IncompleteSpec& spec, double fraction,
-                                std::span<const NeighborTable> tables) {
-  assert(tables.size() == spec.num_outputs());
-  return for_each_output(spec, [&](TernaryTruthTable& f, unsigned o) {
-    return ranking_assign(f, fraction, tables[o]);
-  });
-}
-
-AssignmentResult ranking_assign_incremental(IncompleteSpec& spec,
-                                            double fraction) {
-  return for_each_output(spec, [&](TernaryTruthTable& f, unsigned) {
-    return ranking_assign_incremental(f, fraction);
-  });
+                                std::span<const NeighborTable> tables,
+                                const FaultModel& model) {
+  return for_each_output(
+      spec, tables, [&](TernaryTruthTable& f, const NeighborTable& table) {
+        return ranking_assign(f, fraction, table, model);
+      });
 }
 
 AssignmentResult ranking_assign_incremental(
     IncompleteSpec& spec, double fraction,
     std::span<const NeighborTable> tables) {
-  assert(tables.size() == spec.num_outputs());
-  return for_each_output(spec, [&](TernaryTruthTable& f, unsigned o) {
-    return ranking_assign_incremental(f, fraction, tables[o]);
-  });
-}
-
-AssignmentResult lcf_assign(IncompleteSpec& spec, double threshold,
-                            bool assign_balanced) {
-  return for_each_output(spec, [&](TernaryTruthTable& f, unsigned) {
-    return lcf_assign(f, threshold, assign_balanced);
-  });
+  return for_each_output(
+      spec, tables, [&](TernaryTruthTable& f, const NeighborTable& table) {
+        return ranking_assign_incremental(f, fraction, table);
+      });
 }
 
 AssignmentResult lcf_assign(IncompleteSpec& spec, double threshold,
                             bool assign_balanced,
-                            std::span<const NeighborTable> tables) {
-  assert(tables.size() == spec.num_outputs());
-  return for_each_output(spec, [&](TernaryTruthTable& f, unsigned o) {
-    return lcf_assign(f, threshold, assign_balanced, tables[o]);
-  });
+                            std::span<const NeighborTable> tables,
+                            const FaultModel& model) {
+  return for_each_output(
+      spec, tables, [&](TernaryTruthTable& f, const NeighborTable& table) {
+        return lcf_assign(f, threshold, assign_balanced, table, model);
+      });
 }
 
 void assign_from_implementation(TernaryTruthTable& f,

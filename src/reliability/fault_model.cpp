@@ -11,16 +11,18 @@
 #include "common/bits.hpp"
 #include "common/bitvec.hpp"
 #include "exec/budget.hpp"
+#include "reliability/detail.hpp"
 #include "reliability/error_rate.hpp"
 
 namespace rdc::reliability {
+
+using detail::check_error_rate_pair;
+using detail::check_pin_weights;
+using detail::k_subsets;
+using detail::kSampleCheckpointStride;
+using detail::with_ci;
+
 namespace {
-
-/// Two-sided 95% normal quantile (matches sampling.cpp).
-constexpr double kZ95 = 1.959963984540054;
-
-/// Budget-poll stride inside sampling loops (matches sampling.cpp).
-constexpr std::uint64_t kCheckpointStride = 64;
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
@@ -60,63 +62,6 @@ bool parse_double_text(const std::string& text, double& out) {
   return end == begin + text.size() && !text.empty();
 }
 
-void check_model_pair(const TernaryTruthTable& implementation,
-                      const TernaryTruthTable& spec, const char* where) {
-  if (!implementation.fully_specified())
-    throw std::invalid_argument(std::string(where) +
-                                ": implementation must be completely "
-                                "specified");
-  if (implementation.num_inputs() != spec.num_inputs())
-    throw std::invalid_argument(std::string(where) +
-                                ": input count mismatch");
-}
-
-double check_weights(const std::vector<double>& weights, unsigned n,
-                     const char* where) {
-  if (weights.size() != n)
-    throw std::invalid_argument(std::string(where) +
-                                ": weight count mismatch");
-  double total = 0.0;
-  for (const double w : weights) {
-    if (!std::isfinite(w))
-      throw std::invalid_argument(std::string(where) +
-                                  ": non-finite weight");
-    if (w < 0.0)
-      throw std::invalid_argument(std::string(where) + ": negative weight");
-    total += w;
-  }
-  if (total <= 0.0)
-    throw std::invalid_argument(std::string(where) + ": weights sum to zero");
-  return total;
-}
-
-SampledRate with_ci(double rate, double variance, std::uint64_t samples) {
-  SampledRate out;
-  out.rate = rate;
-  out.variance = variance;
-  const double half = kZ95 * std::sqrt(std::max(variance, 0.0));
-  out.ci_low = std::clamp(rate - half, 0.0, 1.0);
-  out.ci_high = std::clamp(rate + half, 0.0, 1.0);
-  out.samples = samples;
-  return out;
-}
-
-/// All n-bit masks with exactly k bits set (Gosper's hack).
-std::vector<std::uint32_t> k_subsets(unsigned n, unsigned k) {
-  std::vector<std::uint32_t> masks;
-  if (k == 0 || k > n) return masks;
-  std::uint32_t mask = (1u << k) - 1;
-  const std::uint32_t limit = 1u << n;
-  while (mask < limit) {
-    masks.push_back(mask);
-    const std::uint32_t c =
-        mask & static_cast<std::uint32_t>(-static_cast<std::int32_t>(mask));
-    const std::uint32_t r = mask + c;
-    mask = (((r ^ mask) >> 2) / c) | r;
-  }
-  return masks;
-}
-
 /// Membership bitset of the halfspace { m : bit_j(m) == 1 } over
 /// `num_bits` minterms.
 BitVec halfspace_one(std::uint64_t num_bits, unsigned j) {
@@ -147,9 +92,8 @@ class BitflipModel final : public FaultModel {
 
   double error_rate(const TernaryTruthTable& implementation,
                     const TernaryTruthTable& spec) const override {
-    // Delegates to the existing word-parallel kernels: k = 1 is the exact
-    // SIMD-dispatched path the default flow uses, so routing through the
-    // model is bit-identical to pre-refactor behavior.
+    // Delegates to the word-parallel kernels; k = 1 is the SIMD-dispatched
+    // exact_error_rate.
     if (model_spec().k() == 1)
       return exact_error_rate(implementation, spec);
     return exact_error_rate_kbit(implementation, spec, model_spec().k());
@@ -231,7 +175,7 @@ class BitflipWeightedModel final : public FaultModel {
     (void)neighbors;
     const unsigned n = spec.num_inputs();
     const std::vector<double>& weights = model_spec().weights();
-    check_weights(weights, n, "bitflip_weighted");
+    check_pin_weights(weights, n, "bitflip_weighted");
     const std::vector<std::uint32_t> dcs = spec.dc_minterms();
     std::vector<MintermEvents> events(dcs.size());
     for (std::size_t i = 0; i < dcs.size(); ++i) {
@@ -250,10 +194,10 @@ class BitflipWeightedModel final : public FaultModel {
   SampledRate sampled_rate(const TernaryTruthTable& implementation,
                            const TernaryTruthTable& spec,
                            std::uint64_t samples, Rng& rng) const override {
-    check_model_pair(implementation, spec, "bitflip_weighted");
+    check_error_rate_pair(implementation, spec, "bitflip_weighted");
     const unsigned n = spec.num_inputs();
     const double total =
-        check_weights(model_spec().weights(), n, "bitflip_weighted");
+        check_pin_weights(model_spec().weights(), n, "bitflip_weighted");
     if (samples == 0) return SampledRate{};
     // Stratified by pin like the uniform k = 1 estimator; the strata
     // combine with the normalized weights instead of 1/n, so
@@ -266,7 +210,7 @@ class BitflipWeightedModel final : public FaultModel {
           std::max<std::uint64_t>(1, samples / n + (j < samples % n ? 1 : 0));
       std::uint64_t hits = 0;
       for (std::uint64_t s = 0; s < draws; ++s) {
-        if ((spent + s) % kCheckpointStride == 0) exec::checkpoint();
+        if ((spent + s) % kSampleCheckpointStride == 0) exec::checkpoint();
         const auto m = static_cast<std::uint32_t>(rng.below(spec.size()));
         if (!spec.is_care(m)) continue;
         if (implementation.is_on(m) != implementation.is_on(flip_bit(m, j)))
@@ -290,7 +234,7 @@ class StuckAtModel final : public FaultModel {
 
   double error_rate(const TernaryTruthTable& implementation,
                     const TernaryTruthTable& spec) const override {
-    check_model_pair(implementation, spec, "stuckat");
+    check_error_rate_pair(implementation, spec, "stuckat");
     const unsigned n = spec.num_inputs();
     if (n == 0) return 0.0;
     // Per fault (j, v): sources are care vectors in the halfspace
@@ -323,7 +267,7 @@ class StuckAtModel final : public FaultModel {
 
   double error_rate_scalar(const TernaryTruthTable& implementation,
                            const TernaryTruthTable& spec) const override {
-    check_model_pair(implementation, spec, "stuckat");
+    check_error_rate_pair(implementation, spec, "stuckat");
     const unsigned n = spec.num_inputs();
     if (n == 0) return 0.0;
     double sum = 0.0;
@@ -385,7 +329,7 @@ class StuckAtModel final : public FaultModel {
   SampledRate sampled_rate(const TernaryTruthTable& implementation,
                            const TernaryTruthTable& spec,
                            std::uint64_t samples, Rng& rng) const override {
-    check_model_pair(implementation, spec, "stuckat");
+    check_error_rate_pair(implementation, spec, "stuckat");
     const unsigned n = spec.num_inputs();
     if (n == 0 || samples == 0) return SampledRate{};
     // Stratified by fault (j, v). Each stratum draws uniformly from the
@@ -411,7 +355,7 @@ class StuckAtModel final : public FaultModel {
             1, samples / strata + (stratum < samples % strata ? 1 : 0));
         std::uint64_t hits = 0;
         for (std::uint64_t s = 0; s < draws; ++s) {
-          if ((spent + s) % kCheckpointStride == 0) exec::checkpoint();
+          if ((spent + s) % kSampleCheckpointStride == 0) exec::checkpoint();
           const auto r = static_cast<std::uint32_t>(rng.below(half_size));
           const std::uint32_t low_mask = (1u << j) - 1;
           const std::uint32_t m = ((r & ~low_mask) << 1) |
@@ -595,6 +539,11 @@ std::unique_ptr<FaultModel> make_fault_model(const FaultModelSpec& spec) {
       return std::make_unique<StuckAtModel>(spec);
   }
   return std::make_unique<BitflipModel>(FaultModelSpec{});
+}
+
+const FaultModel& default_fault_model() {
+  static const BitflipModel model{FaultModelSpec{}};
+  return model;
 }
 
 const char* fault_detectability_name(FaultDetectability detectability) {

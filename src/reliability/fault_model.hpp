@@ -9,9 +9,9 @@
 //
 // Concrete models:
 //  * bitflip(k)            — k simultaneous input-bit flips, uniform over
-//                            pins; k = 1 is the paper's default and keeps
-//                            the SIMD kernels and the incremental
-//                            ErrorRateTracker on their bit-identical paths.
+//                            pins; k = 1 is the paper's default: its rates
+//                            are the SIMD exact_error_rate kernels and its
+//                            assignment events are the neighbor counts.
 //  * bitflip_weighted(w..) — single flips with non-uniform per-pin weights
 //                            (exact_error_rate_weighted semantics).
 //  * stuckat               — stuck-at-0/1 input-pin faults. A fault (j, v)
@@ -53,8 +53,9 @@ enum class FaultModelKind : std::uint8_t {
 const char* fault_model_kind_name(FaultModelKind kind);
 
 /// Value-semantics description of a fault model. Default-constructed it is
-/// the paper's model, bitflip(1); is_default() gates every compatibility
-/// path (old fingerprints, golden reports, SIMD/tracker fast paths).
+/// the paper's model, bitflip(1). is_default() only gates how a run is
+/// labelled and keyed (old fingerprints, reports without a "fault_model"
+/// key, canonical spelling); every model runs through the same code.
 class FaultModelSpec {
  public:
   /// The paper's default: single-bit flips, uniform over pins.
@@ -78,9 +79,8 @@ class FaultModelSpec {
   /// Per-pin weights (kBitflipWeighted only; empty otherwise).
   const std::vector<double>& weights() const { return weights_; }
 
-  /// True iff this is the paper's model, bitflip(1). The default model
-  /// keeps pre-refactor behavior byte-for-byte: old fingerprints, golden
-  /// reports without a "fault_model" key, the incremental tracker path.
+  /// True iff this is the paper's model, bitflip(1), whose runs keep their
+  /// pre-§16 fingerprints and report bytes (no "fault_model" key).
   bool is_default() const {
     return kind_ == FaultModelKind::kBitflip && k_ == 1;
   }
@@ -141,9 +141,9 @@ class FaultModel {
   virtual std::vector<MintermEvents> dc_assignment_events(
       const TernaryTruthTable& spec, const NeighborTable& neighbors) const = 0;
 
-  /// Monte-Carlo estimate with a 95% CI, for inputs past the exact
-  /// enumeration limit. Draw strategy is model-specific (stratified by pin
-  /// for flips, by fault halfspace for stuck-at).
+  /// Monte-Carlo estimate with a 95% CI (the `error_rate:sampled` pass).
+  /// Draw strategy is model-specific (stratified by pin for single flips,
+  /// by fault halfspace for stuck-at).
   virtual SampledRate sampled_rate(const TernaryTruthTable& implementation,
                                    const TernaryTruthTable& spec,
                                    std::uint64_t samples, Rng& rng) const = 0;
@@ -166,6 +166,10 @@ class FaultModel {
 
 /// Builds the analyzer for a model description.
 std::unique_ptr<FaultModel> make_fault_model(const FaultModelSpec& spec);
+
+/// The shared analyzer of the paper's model, bitflip(1) (stateless, so one
+/// process-wide instance serves every thread).
+const FaultModel& default_fault_model();
 
 // --- stuck-at detectability (the inadmissible-class analysis) -------------
 

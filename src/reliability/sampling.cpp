@@ -8,52 +8,22 @@
 #include "common/bits.hpp"
 #include "common/bitvec.hpp"
 #include "exec/budget.hpp"
+#include "reliability/detail.hpp"
 
 namespace rdc {
+
+using detail::kSampleCheckpointStride;
+using detail::k_subsets;
+using detail::with_ci;
+
 namespace {
 
 /// Two-sided 95% normal quantile (z such that P(|Z| <= z) = 0.95).
 constexpr double kZ95 = 1.959963984540054;
 
-/// Budget-poll stride inside the sampling loops. One draw is a handful of
-/// rng calls and bit probes, so polling every draw would dominate; every
-/// 64th draw keeps the overhead invisible while a deadline or iteration
-/// cap still interrupts a large `samples` request mid-loop.
-constexpr std::uint64_t kCheckpointStride = 64;
-
-SampledRate with_ci(double rate, double variance, std::uint64_t samples) {
-  SampledRate out;
-  out.rate = rate;
-  out.variance = variance;
-  const double half = kZ95 * std::sqrt(std::max(variance, 0.0));
-  out.ci_low = std::clamp(rate - half, 0.0, 1.0);
-  out.ci_high = std::clamp(rate + half, 0.0, 1.0);
-  out.samples = samples;
-  return out;
-}
-
-/// All n-bit masks with exactly k bits set (Gosper's hack).
-std::vector<std::uint32_t> k_subsets(unsigned n, unsigned k) {
-  std::vector<std::uint32_t> masks;
-  if (k == 0 || k > n) return masks;
-  std::uint32_t mask = (1u << k) - 1;
-  const std::uint32_t limit = 1u << n;
-  while (mask < limit) {
-    masks.push_back(mask);
-    const std::uint32_t c = mask & static_cast<std::uint32_t>(-static_cast<std::int32_t>(mask));
-    const std::uint32_t r = mask + c;
-    mask = (((r ^ mask) >> 2) / c) | r;
-  }
-  return masks;
-}
-
 void check_pair(const TernaryTruthTable& implementation,
                 const TernaryTruthTable& spec, unsigned k) {
-  if (!implementation.fully_specified())
-    throw std::invalid_argument(
-        "error rate: implementation must be completely specified");
-  if (implementation.num_inputs() != spec.num_inputs())
-    throw std::invalid_argument("error rate: input count mismatch");
+  detail::check_error_rate_pair(implementation, spec, "error rate");
   if (k == 0 || k > spec.num_inputs())
     throw std::invalid_argument("error rate: bad flip count k");
 }
@@ -71,6 +41,37 @@ double mean_over_outputs(const IncompleteSpec& implementation,
 }
 
 }  // namespace
+
+namespace detail {
+
+SampledRate with_ci(double rate, double variance, std::uint64_t samples) {
+  SampledRate out;
+  out.rate = rate;
+  out.variance = variance;
+  const double half = kZ95 * std::sqrt(std::max(variance, 0.0));
+  out.ci_low = std::clamp(rate - half, 0.0, 1.0);
+  out.ci_high = std::clamp(rate + half, 0.0, 1.0);
+  out.samples = samples;
+  return out;
+}
+
+std::vector<std::uint32_t> k_subsets(unsigned n, unsigned k) {
+  // Gosper's hack: next larger integer with the same popcount.
+  std::vector<std::uint32_t> masks;
+  if (k == 0 || k > n) return masks;
+  std::uint32_t mask = (1u << k) - 1;
+  const std::uint32_t limit = 1u << n;
+  while (mask < limit) {
+    masks.push_back(mask);
+    const std::uint32_t c =
+        mask & static_cast<std::uint32_t>(-static_cast<std::int32_t>(mask));
+    const std::uint32_t r = mask + c;
+    mask = (((r ^ mask) >> 2) / c) | r;
+  }
+  return masks;
+}
+
+}  // namespace detail
 
 double exact_error_rate_kbit(const TernaryTruthTable& implementation,
                              const TernaryTruthTable& spec, unsigned k) {
@@ -122,7 +123,7 @@ double sampled_error_rate(const TernaryTruthTable& implementation,
   std::uint64_t propagating = 0;
   unsigned pins[32];
   for (std::uint64_t s = 0; s < samples; ++s) {
-    if (s % kCheckpointStride == 0) exec::checkpoint();
+    if (s % kSampleCheckpointStride == 0) exec::checkpoint();
     const auto m = static_cast<std::uint32_t>(rng.below(spec.size()));
     if (!spec.is_care(m)) continue;  // DC sources never occur: count 0
     // Uniform k-subset via partial Fisher-Yates over the pin indices.
@@ -169,7 +170,7 @@ SampledRate sampled_error_rate_ci(const TernaryTruthTable& implementation,
           std::max<std::uint64_t>(1, samples / n + (j < samples % n ? 1 : 0));
       std::uint64_t hits = 0;
       for (std::uint64_t s = 0; s < draws; ++s) {
-        if ((spent + s) % kCheckpointStride == 0) exec::checkpoint();
+        if ((spent + s) % kSampleCheckpointStride == 0) exec::checkpoint();
         const auto m = static_cast<std::uint32_t>(rng.below(spec.size()));
         if (!spec.is_care(m)) continue;
         if (implementation.is_on(m) != implementation.is_on(flip_bit(m, j)))
@@ -188,7 +189,7 @@ SampledRate sampled_error_rate_ci(const TernaryTruthTable& implementation,
   unsigned pins[32];
   std::uint64_t hits = 0;
   for (std::uint64_t s = 0; s < samples; ++s) {
-    if (s % kCheckpointStride == 0) exec::checkpoint();
+    if (s % kSampleCheckpointStride == 0) exec::checkpoint();
     const auto m = static_cast<std::uint32_t>(rng.below(spec.size()));
     if (!spec.is_care(m)) continue;
     for (unsigned j = 0; j < n; ++j) pins[j] = j;
@@ -202,28 +203,6 @@ SampledRate sampled_error_rate_ci(const TernaryTruthTable& implementation,
   }
   const double p = static_cast<double>(hits) / static_cast<double>(samples);
   return with_ci(p, p * (1.0 - p) / static_cast<double>(samples), samples);
-}
-
-SampledRate sampled_error_rate_ci(const IncompleteSpec& implementation,
-                                  const IncompleteSpec& spec, unsigned k,
-                                  std::uint64_t samples, Rng& rng) {
-  if (implementation.num_outputs() != spec.num_outputs())
-    throw std::invalid_argument("error rate: output count mismatch");
-  const unsigned m = spec.num_outputs();
-  if (m == 0) return SampledRate{};
-  double sum_rate = 0.0;
-  double sum_var = 0.0;
-  std::uint64_t spent = 0;
-  for (unsigned o = 0; o < m; ++o) {
-    const SampledRate r = sampled_error_rate_ci(implementation.output(o),
-                                                spec.output(o), k, samples,
-                                                rng);
-    sum_rate += r.rate;
-    sum_var += r.variance;
-    spent += r.samples;
-  }
-  const double inv_m = 1.0 / static_cast<double>(m);
-  return with_ci(sum_rate * inv_m, sum_var * inv_m * inv_m, spent);
 }
 
 }  // namespace rdc

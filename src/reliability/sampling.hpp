@@ -62,11 +62,8 @@ SampledRate sampled_error_rate_ci(const TernaryTruthTable& implementation,
                                   const TernaryTruthTable& spec, unsigned k,
                                   std::uint64_t samples, Rng& rng);
 
-/// Multi-output form: mean of per-output estimates; the variances combine
-/// as (1/m^2) * sum var_o (independent draws), so the CI tightens with the
-/// output count like the rate itself.
-SampledRate sampled_error_rate_ci(const IncompleteSpec& implementation,
-                                  const IncompleteSpec& spec, unsigned k,
-                                  std::uint64_t samples, Rng& rng);
+/// Multi-output estimates: FaultModel::sampled_rate (fault_model.hpp) runs
+/// the per-output estimator of its model and combines the variances as
+/// (1/m^2) * sum var_o (independent draws).
 
 }  // namespace rdc

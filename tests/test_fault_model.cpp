@@ -587,6 +587,11 @@ TEST(PipelineAnnotation, ErrorsCarryByteOffsets) {
        "pass 'espresso' does not accept a fault model annotation at offset 8"},
       {"assign:conventional@stuckat",
        "does not accept a fault model annotation at offset 19"},
+      {"espresso | assign:ranking_inc(0.5)@stuckat",
+       "'assign:ranking_inc' supports only the default bitflip model, got "
+       "'stuckat' at offset 34"},
+      {"assign:ranking_inc(1)@bitflip_weighted(1,1,1,1,1,1)",
+       "got 'bitflip_weighted(1,1,1,1,1,1)' at offset 21"},
   };
   for (const auto& c : cases) {
     exec::Result<flow::Pipeline> result = flow::parse_pipeline(c.spec);
@@ -692,11 +697,70 @@ TEST(FlowFaultModel, WeightCountMismatchIsRejectedUpFront) {
       << result.status.message();
 }
 
+TEST(FlowFaultModel, RankingIncrementalTakesOnlyTheDefaultModel) {
+  // The incremental ablation ranks by live neighbor counts, i.e. under
+  // bitflip(1) only. Any other model is rejected up front — by run_flow's
+  // option validation and by the pass itself on a hand-built Design —
+  // instead of silently running a different algorithm.
+  const IncompleteSpec spec = flow_test_spec();
+  FlowOptions options;
+  options.fault_model = FaultModelSpec::stuckat();
+  const FlowResult rejected =
+      run_flow(spec, DcPolicy::kRankingIncremental, options);
+  EXPECT_EQ(rejected.degradation, DegradationLevel::kPartial);
+  EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status.message().find(
+                "ranking_incremental supports only the default bitflip "
+                "fault model, got stuckat"),
+            std::string::npos)
+      << rejected.status.message();
+
+  flow::Design design(spec, options);
+  exec::Result<flow::Pipeline> pipeline =
+      flow::parse_pipeline("assign:ranking_inc(0.5)");
+  ASSERT_TRUE(pipeline.ok());
+  EXPECT_EQ(pipeline->run(design).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(design.has_assignment);
+
+  // The explicit default is accepted and only labels the report.
+  exec::Result<flow::Pipeline> annotated =
+      flow::parse_pipeline("assign:ranking_inc(0.5)@bitflip");
+  ASSERT_TRUE(annotated.ok()) << annotated.status().message();
+  flow::Design labelled(spec);
+  ASSERT_TRUE(annotated->run(labelled).ok());
+  EXPECT_EQ(labelled.fault_model_label, "bitflip");
+}
+
+TEST(FlowFaultModel, CanonicalSpecsOfValidOptionsAlwaysParse) {
+  // Every (policy, model) pair run_flow accepts runs its canonical spec.
+  const IncompleteSpec spec = flow_test_spec();  // 5 inputs
+  const FaultModelSpec models[] = {
+      FaultModelSpec(), FaultModelSpec::bitflip(2), FaultModelSpec::stuckat(),
+      FaultModelSpec::bitflip_weighted({1, 2, 1, 0.5, 1})};
+  const DcPolicy policies[] = {
+      DcPolicy::kConventional, DcPolicy::kRankingFraction,
+      DcPolicy::kRankingIncremental, DcPolicy::kLcfThreshold,
+      DcPolicy::kAllReliability};
+  for (const FaultModelSpec& model : models) {
+    for (const DcPolicy policy : policies) {
+      FlowOptions options;
+      options.fault_model = model;
+      const std::string canonical = flow::canonical_flow_spec(policy, options);
+      EXPECT_TRUE(flow::parse_pipeline(canonical).ok()) << canonical;
+      const FlowResult result = run_flow(spec, policy, options);
+      const bool valid = policy != DcPolicy::kRankingIncremental ||
+                         model == FaultModelSpec();
+      EXPECT_EQ(result.status.ok(), valid)
+          << canonical << " -> " << result.status.to_string();
+    }
+  }
+}
+
 TEST(FlowFaultModel, UniformWeightsReproduceDefaultDecisions) {
-  // bitflip_weighted with uniform weights produces the same event counts
-  // as the paper's model, so the generic (double-arithmetic) ranking path
-  // must make the very same assignment decisions as the legacy integer
-  // path — and the weighted exact rate reduces to the unweighted one.
+  // bitflip_weighted with uniform weights sums one unit weight per care
+  // neighbor, the same event masses as the paper's neighbor counts, so
+  // the ranking must make the very same assignment decisions — and the
+  // weighted exact rate reduces to the unweighted one.
   const IncompleteSpec spec = flow_test_spec();
   FlowOptions uniform;
   uniform.fault_model =
@@ -713,9 +777,8 @@ TEST(FlowFaultModel, UniformWeightsReproduceDefaultDecisions) {
 }
 
 TEST(FlowFaultModel, AnnotatedDefaultModelOnlySetsTheLabel) {
-  // An explicit @bitflip routes through the unchanged legacy kernels but
-  // still names the model in the report (and hence the canonical spec /
-  // serve-cache key).
+  // An explicit @bitflip runs the default model but still names it in the
+  // report (and hence the canonical spec / serve-cache key).
   const IncompleteSpec spec = flow_test_spec();
   exec::Result<flow::Pipeline> annotated = flow::parse_pipeline(
       "assign:ranking(0.5)@bitflip | espresso | factor | aig | map:power | "

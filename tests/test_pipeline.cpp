@@ -835,6 +835,25 @@ TEST(PipelineSampled, SampledReportIsByteDeterministicPerSeed) {
   EXPECT_EQ(run_once(defaults.sample_seed), run_once(defaults.sample_seed));
 }
 
+TEST(PipelineSampled, DefaultModelEstimateBytesArePinned) {
+  // The default-seed bitflip(1) estimate on the builtin spec, byte for
+  // byte: the per-pin stratified draw order, the per-output combine and
+  // the CI arithmetic are all part of the report contract.
+  flow::Design design(builtin_spec());
+  ASSERT_TRUE(parse_ok("assign:ranking(0.5) | espresso | factor | aig | "
+                       "map:power | analyze | error_rate:sampled(2000)")
+                  .run(design)
+                  .ok());
+  const std::string json = design.report.to_json();
+  EXPECT_NE(json.find("\"error_rate\": 0.3035,\n"
+                      "    \"error_rate_estimator\": \"sampled\",\n"
+                      "    \"error_rate_ci_low\": 0.2907621188206567,\n"
+                      "    \"error_rate_ci_high\": 0.31623788117934326,\n"
+                      "    \"error_rate_samples\": 4000\n"),
+            std::string::npos)
+      << json;
+}
+
 TEST(PipelineSampled, BudgetTripInsideSampledPassIsTyped) {
   // The sampling loops poll exec::checkpoint() every 64th draw, so an
   // iteration cap trips *inside* error_rate:sampled — mid-pass, not at the
@@ -905,9 +924,9 @@ TEST(PipelineSampled, PassBoundaryFaultFailsSampledPassCleanly) {
 }
 
 TEST(PipelineSampled, RepeatedExactErrorRateReconcilesIncrementally) {
-  // Re-running assign + downstream on one Design exercises the Design's
-  // ErrorRateTracker across different working implementations; each
-  // evaluation must equal a fresh Design's from-scratch rate.
+  // Re-running assign + downstream on one Design reuses its cached
+  // NeighborTables and fault-model analyzer across different working
+  // implementations; each evaluation must equal a fresh Design's rate.
   const IncompleteSpec spec = builtin_spec();
   flow::Design shared(spec);
   for (const char* fraction : {"0.25", "0.75", "0.25", "1"}) {

@@ -2,14 +2,18 @@
 // LC^f-based DC assignment, exact error rates and bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "reliability/assignment.hpp"
 #include "reliability/complexity.hpp"
 #include "reliability/error_rate.hpp"
+#include "reliability/fault_model.hpp"
 #include "reliability/sampling.hpp"
+#include "tt/incomplete_spec.hpp"
 #include "tt/neighbor_stats.hpp"
 
 namespace rdc {
@@ -514,6 +518,210 @@ TEST(AssignFromImplementation, CopiesOnlyDcs) {
   EXPECT_TRUE(f.is_on(1));   // from impl
   EXPECT_TRUE(f.is_off(2));  // from impl
   EXPECT_TRUE(f.is_off(3));  // care kept (off)
+}
+
+// --- brute-force Fig. 3 / Fig. 7 oracle -------------------------------------
+//
+// An independent reading of the paper's two algorithms: neighbor counts and
+// LC^f by direct bit probes on the input function, a sort and a threshold.
+// The library decides through FaultModel event masses over NeighborTables;
+// the two must agree on every minterm.
+
+TernaryTruthTable random_with_dc(unsigned n, double dc_density, Rng& rng) {
+  TernaryTruthTable f(n);
+  for (std::uint32_t m = 0; m < f.size(); ++m) {
+    if (rng.flip(dc_density))
+      f.set_phase(m, Phase::kDc);
+    else
+      f.set_phase(m, rng.flip(0.5) ? Phase::kOne : Phase::kZero);
+  }
+  return f;
+}
+
+struct ProbedCounts {
+  unsigned on = 0;
+  unsigned off = 0;
+};
+
+ProbedCounts probe_neighbors(const TernaryTruthTable& f, std::uint32_t m) {
+  ProbedCounts c;
+  for (unsigned j = 0; j < f.num_inputs(); ++j) {
+    const Phase p = f.phase(m ^ (1u << j));
+    if (p == Phase::kOne) ++c.on;
+    if (p == Phase::kZero) ++c.off;
+  }
+  return c;
+}
+
+/// Fig. 3: DCs with a majority, by decreasing |on - off| then index; the
+/// first `count` go to their majority phase.
+TernaryTruthTable oracle_ranking_count(const TernaryTruthTable& f,
+                                       std::size_t count) {
+  struct Entry {
+    unsigned weight;
+    std::uint32_t minterm;
+    bool to_on;
+  };
+  std::vector<Entry> list;
+  for (std::uint32_t m = 0; m < f.size(); ++m) {
+    if (f.phase(m) != Phase::kDc) continue;
+    const ProbedCounts c = probe_neighbors(f, m);
+    if (c.on == c.off) continue;
+    list.push_back({c.on > c.off ? c.on - c.off : c.off - c.on, m,
+                    c.on > c.off});
+  }
+  std::sort(list.begin(), list.end(), [](const Entry& a, const Entry& b) {
+    return a.weight != b.weight ? a.weight > b.weight : a.minterm < b.minterm;
+  });
+  TernaryTruthTable out = f;
+  for (std::size_t i = 0; i < std::min(count, list.size()); ++i)
+    out.set_phase(list[i].minterm, list[i].to_on ? Phase::kOne : Phase::kZero);
+  return out;
+}
+
+std::size_t oracle_list_length(const TernaryTruthTable& f) {
+  std::size_t length = 0;
+  for (std::uint32_t m = 0; m < f.size(); ++m) {
+    if (f.phase(m) != Phase::kDc) continue;
+    const ProbedCounts c = probe_neighbors(f, m);
+    if (c.on != c.off) ++length;
+  }
+  return length;
+}
+
+TernaryTruthTable oracle_ranking(const TernaryTruthTable& f, double fraction) {
+  return oracle_ranking_count(
+      f, static_cast<std::size_t>(std::llround(
+             fraction * static_cast<double>(oracle_list_length(f)))));
+}
+
+/// Fig. 7: a DC whose LC^f (same-phase pairs two steps out, over n^2) is
+/// below `threshold` goes to its majority phase; ties go to the off-set
+/// only when `balanced`.
+TernaryTruthTable oracle_lcf(const TernaryTruthTable& f, double threshold,
+                             bool balanced) {
+  const unsigned n = f.num_inputs();
+  TernaryTruthTable out = f;
+  for (std::uint32_t m = 0; m < f.size(); ++m) {
+    if (f.phase(m) != Phase::kDc) continue;
+    std::uint64_t same = 0;
+    for (unsigned j = 0; j < n; ++j) {
+      const std::uint32_t x = m ^ (1u << j);
+      for (unsigned k = 0; k < n; ++k)
+        if (f.phase(x ^ (1u << k)) == f.phase(x)) ++same;
+    }
+    const double lcf =
+        static_cast<double>(same) / (static_cast<double>(n) * n);
+    if (lcf >= threshold) continue;
+    const ProbedCounts c = probe_neighbors(f, m);
+    if (!balanced && c.on == c.off) continue;
+    out.set_phase(m, c.on > c.off ? Phase::kOne : Phase::kZero);
+  }
+  return out;
+}
+
+/// Checks the counters a pass returned against the oracle's result.
+void expect_counters(const AssignmentResult& r, const TernaryTruthTable& in,
+                     const TernaryTruthTable& expected) {
+  std::uint32_t assigned = 0;
+  std::uint32_t assigned_on = 0;
+  for (std::uint32_t m = 0; m < in.size(); ++m) {
+    if (in.phase(m) != Phase::kDc || expected.phase(m) == Phase::kDc) continue;
+    ++assigned;
+    if (expected.phase(m) == Phase::kOne) ++assigned_on;
+  }
+  EXPECT_EQ(r.dc_before, in.dc_count());
+  EXPECT_EQ(r.assigned, assigned);
+  EXPECT_EQ(r.assigned_on, assigned_on);
+}
+
+TEST(AssignmentOracle, RankingMatchesFig3) {
+  Rng rng(8101);
+  for (unsigned n = 1; n <= 10; ++n) {
+    // Uniform pin weights give the same decisions through the generic
+    // (double-sum) event path.
+    const auto uniform = reliability::make_fault_model(
+        reliability::FaultModelSpec::bitflip_weighted(
+            std::vector<double>(n, 1.0)));
+    for (const double density : {0.0, 0.3, 0.6, 1.0}) {
+      const TernaryTruthTable f = random_with_dc(n, density, rng);
+      for (const double fraction : {0.0, 0.25, 0.5, 1.0}) {
+        const TernaryTruthTable expected = oracle_ranking(f, fraction);
+        TernaryTruthTable got = f;
+        expect_counters(ranking_assign(got, fraction), f, expected);
+        EXPECT_EQ(got, expected)
+            << "n=" << n << " dc=" << density << " fraction=" << fraction;
+        TernaryTruthTable weighted = f;
+        ranking_assign(weighted, fraction, *uniform);
+        EXPECT_EQ(weighted, expected)
+            << "n=" << n << " dc=" << density << " fraction=" << fraction;
+      }
+    }
+  }
+}
+
+TEST(AssignmentOracle, RankingCountMatchesFig3) {
+  Rng rng(8102);
+  for (unsigned n = 1; n <= 10; ++n) {
+    for (const double density : {0.0, 0.3, 0.6, 1.0}) {
+      const TernaryTruthTable f = random_with_dc(n, density, rng);
+      const std::size_t length = oracle_list_length(f);
+      for (const std::size_t count :
+           {std::size_t{0}, std::size_t{1}, length / 3, length, length + 5}) {
+        const TernaryTruthTable expected = oracle_ranking_count(f, count);
+        TernaryTruthTable got = f;
+        expect_counters(
+            ranking_assign_count(got, static_cast<std::uint32_t>(count)), f,
+            expected);
+        EXPECT_EQ(got, expected)
+            << "n=" << n << " dc=" << density << " count=" << count;
+      }
+    }
+  }
+}
+
+TEST(AssignmentOracle, LcfMatchesFig7) {
+  Rng rng(8103);
+  for (unsigned n = 1; n <= 10; ++n) {
+    for (const double density : {0.0, 0.3, 0.6, 1.0}) {
+      const TernaryTruthTable f = random_with_dc(n, density, rng);
+      for (const double threshold : {0.45, 0.55, 0.65}) {
+        for (const bool balanced : {false, true}) {
+          const TernaryTruthTable expected = oracle_lcf(f, threshold, balanced);
+          TernaryTruthTable got = f;
+          expect_counters(lcf_assign(got, threshold, balanced), f, expected);
+          EXPECT_EQ(got, expected) << "n=" << n << " dc=" << density
+                                   << " threshold=" << threshold
+                                   << " balanced=" << balanced;
+        }
+      }
+    }
+  }
+}
+
+TEST(AssignmentOracle, MultiOutputWrappersMatchPerOutputOracle) {
+  // The flow's entry points: per-output decisions with prebuilt tables
+  // and with tables built on the fly.
+  Rng rng(8104);
+  IncompleteSpec spec("oracle", 7, 3);
+  for (auto& f : spec.outputs()) f = random_with_dc(7, 0.5, rng);
+  std::vector<NeighborTable> tables;
+  for (const auto& f : spec.outputs()) tables.emplace_back(f);
+
+  IncompleteSpec ranked = spec;
+  IncompleteSpec ranked_cached = spec;
+  IncompleteSpec lcf = spec;
+  IncompleteSpec lcf_cached = spec;
+  ranking_assign(ranked, 0.5);
+  ranking_assign(ranked_cached, 0.5, tables);
+  lcf_assign(lcf, 0.55, true);
+  lcf_assign(lcf_cached, 0.55, true, tables);
+  for (unsigned o = 0; o < spec.num_outputs(); ++o) {
+    EXPECT_EQ(ranked.output(o), oracle_ranking(spec.output(o), 0.5)) << o;
+    EXPECT_EQ(ranked_cached.output(o), ranked.output(o)) << o;
+    EXPECT_EQ(lcf.output(o), oracle_lcf(spec.output(o), 0.55, true)) << o;
+    EXPECT_EQ(lcf_cached.output(o), lcf.output(o)) << o;
+  }
 }
 
 }  // namespace
