@@ -104,6 +104,22 @@ echo "== pipeline smoke: rdcsyn_cli --pipeline / batch =="
   --json "$smoke_dir/batch.json" > /dev/null
 ./build/tools/rdc_json_check "$smoke_dir/batch.json" \
   schema suite git_rev date threads compiler rows meta.pipeline
+# The packed testbench path end to end: the fixture is narrow enough for an
+# exhaustive testbench, which must hold one check per input vector.
+./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
+  --pipeline "assign:ranking(0.5) | espresso | factor | aig | map:power | analyze | error_rate" \
+  -o "$smoke_dir/tb_dut.v" --tb "$smoke_dir/tb_dut_tb.v" > /dev/null
+head -n 1 "$smoke_dir/tb_dut_tb.v" | grep -q "exhaustive" || {
+  echo "testbench smoke: header does not say exhaustive" >&2
+  head -n 1 "$smoke_dir/tb_dut_tb.v" >&2
+  exit 1
+}
+tb_inputs=$(sed -n 's/^\.i //p' examples/fixtures/builtin.pla)
+tb_checks=$(grep -c '^ *check(' "$smoke_dir/tb_dut_tb.v")
+if [ "$tb_checks" -ne $((1 << tb_inputs)) ]; then
+  echo "testbench smoke: $tb_checks check( lines, expected 2^$tb_inputs" >&2
+  exit 1
+fi
 # A malformed spec must fail with a position-annotated parse error.
 if ./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
      --pipeline "espresso | nosuchpass" > /dev/null 2> "$smoke_dir/parse_err.txt"; then

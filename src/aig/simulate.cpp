@@ -4,23 +4,6 @@
 #include <stdexcept>
 
 namespace rdc {
-namespace {
-
-/// The i-th input's truth table word at word index w: classic bit-parallel
-/// input patterns (0101..., 0011..., ...).
-std::uint64_t input_pattern(unsigned input, std::size_t word) {
-  if (input < 6) {
-    static constexpr std::uint64_t kPatterns[6] = {
-        0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-        0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
-    return kPatterns[input];
-  }
-  // For inputs >= 6 the pattern is constant per word: bit (input) of the
-  // word index selects all-ones vs all-zeros.
-  return (word >> (input - 6)) & 1u ? ~0ull : 0ull;
-}
-
-}  // namespace
 
 AigSimulator::AigSimulator(const Aig& aig) : aig_(aig) {
   const unsigned n = aig.num_inputs();
@@ -32,7 +15,7 @@ AigSimulator::AigSimulator(const Aig& aig) : aig_(aig) {
 
   for (unsigned i = 0; i < n; ++i)
     for (std::size_t w = 0; w < words_; ++w)
-      tables_[1 + i][w] = input_pattern(i, w);
+      tables_[1 + i][w] = exhaustive_input_word(i, w);
 
   for (std::uint32_t node = n + 1; node < aig.num_nodes(); ++node) {
     const std::uint32_t f0 = aig.fanin0(node);
@@ -72,10 +55,9 @@ double AigSimulator::signal_probability(std::uint32_t lit) const {
 }
 
 TernaryTruthTable AigSimulator::output_table(unsigned o) const {
-  const std::uint32_t lit = aig_.outputs().at(o);
+  const SimWords t = literal_table(aig_.outputs().at(o));
   TernaryTruthTable tt(aig_.num_inputs());
-  for (std::uint32_t m = 0; m < num_vectors_; ++m)
-    if (literal_value(lit, m)) tt.set_phase(m, Phase::kOne);
+  for (std::size_t w = 0; w < words_; ++w) tt.set_word(w, t[w]);
   return tt;
 }
 

@@ -16,6 +16,19 @@ constexpr std::uint32_t num_minterms(unsigned n) {
   return 1u << n;
 }
 
+/// Word `word` of input `input`'s exhaustive truth table (bit b of word w
+/// is the input's value on minterm 64w + b): the classic bit-parallel
+/// patterns 0101..., 0011..., ... for inputs < 6; above that the pattern is
+/// constant per word, selected by bit (input - 6) of the word index.
+constexpr std::uint64_t exhaustive_input_word(unsigned input,
+                                              std::uint64_t word) {
+  constexpr std::uint64_t kPatterns[6] = {
+      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+  if (input < 6) return kPatterns[input];
+  return (word >> (input - 6)) & 1u ? ~0ull : 0ull;
+}
+
 /// Hamming distance between two minterm indices.
 constexpr unsigned hamming_distance(std::uint32_t a, std::uint32_t b) {
   return static_cast<unsigned>(std::popcount(a ^ b));

@@ -57,6 +57,11 @@ class BitVec {
 
   void clear() { words_.assign(words_.size(), 0); }
 
+  /// Overwrites word `w` (bits 64w..64w+63); bits past size() are dropped.
+  void set_word(std::size_t w, std::uint64_t bits) {
+    words_[w] = w + 1 == words_.size() ? bits & tail_mask() : bits;
+  }
+
   /// Sets every bit (respecting the tail invariant).
   void fill();
 

@@ -1,5 +1,6 @@
 #include "io/blif.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 
@@ -15,23 +16,11 @@ std::string net_name(const Netlist& netlist, std::uint32_t net) {
   return name;
 }
 
-/// Minimal SOP rows of one cell function over its (<= 4) pins.
-Cover cell_cover(CellKind kind, unsigned num_inputs) {
-  TernaryTruthTable tt(num_inputs == 0 ? 1 : num_inputs);
-  if (num_inputs == 0) {
-    // Tie cells: constant over a dummy variable.
-    if (evaluate_cell(kind, {})) {
-      tt.set_phase(0, Phase::kOne);
-      tt.set_phase(1, Phase::kOne);
-    }
-  } else {
-    bool pins[4];
-    for (std::uint32_t m = 0; m < tt.size(); ++m) {
-      for (unsigned j = 0; j < num_inputs; ++j) pins[j] = (m >> j) & 1u;
-      if (evaluate_cell(kind, {pins, num_inputs}))
-        tt.set_phase(m, Phase::kOne);
-    }
-  }
+/// Minimal SOP rows of one cell function over its (<= 4) pins; tie cells
+/// are a constant over one dummy variable.
+Cover cell_cover(CellKind kind) {
+  TernaryTruthTable tt(std::max(cell_arity(kind), 1u));
+  tt.set_word(0, cell_truth_table(kind));
   return minimize(tt);
 }
 
@@ -52,7 +41,7 @@ void write_blif(const Netlist& netlist, const std::string& model_name,
     out << ".names";
     for (const std::uint32_t f : g.fanins) out << " " << net_name(netlist, f);
     out << " " << net_name(netlist, g.output_net) << "\n";
-    const Cover cover = cell_cover(g.kind, num_inputs);
+    const Cover cover = cell_cover(g.kind);
     if (num_inputs == 0) {
       // Tie cell: constant-1 table is a single "1" row, constant-0 is an
       // empty table.

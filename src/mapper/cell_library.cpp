@@ -1,54 +1,72 @@
 #include "mapper/cell_library.hpp"
 
-#include <cassert>
+#include <iterator>
 #include <stdexcept>
+
+#include "common/bits.hpp"
 
 namespace rdc {
 
-bool evaluate_cell(CellKind kind, std::span<const bool> in) {
+unsigned cell_arity(CellKind kind) {
+  // In CellKind declaration order.
+  static constexpr unsigned kArity[] = {1, 1, 2, 2, 2, 2, 3, 3, 3, 3,
+                                        4, 4, 3, 3, 4, 4, 2, 2, 0, 0};
+  static_assert(std::size(kArity) ==
+                static_cast<std::size_t>(CellKind::kTie1) + 1);
+  return kArity[static_cast<std::size_t>(kind)];
+}
+
+std::uint64_t evaluate_cell_word(CellKind kind, const std::uint64_t* in) {
   switch (kind) {
     case CellKind::kInv:
-      return !in[0];
+      return ~in[0];
     case CellKind::kBuf:
       return in[0];
     case CellKind::kAnd2:
-      return in[0] && in[1];
+      return in[0] & in[1];
     case CellKind::kNand2:
-      return !(in[0] && in[1]);
+      return ~(in[0] & in[1]);
     case CellKind::kOr2:
-      return in[0] || in[1];
+      return in[0] | in[1];
     case CellKind::kNor2:
-      return !(in[0] || in[1]);
+      return ~(in[0] | in[1]);
     case CellKind::kAnd3:
-      return in[0] && in[1] && in[2];
+      return in[0] & in[1] & in[2];
     case CellKind::kNand3:
-      return !(in[0] && in[1] && in[2]);
+      return ~(in[0] & in[1] & in[2]);
     case CellKind::kOr3:
-      return in[0] || in[1] || in[2];
+      return in[0] | in[1] | in[2];
     case CellKind::kNor3:
-      return !(in[0] || in[1] || in[2]);
+      return ~(in[0] | in[1] | in[2]);
     case CellKind::kAnd4:
-      return in[0] && in[1] && in[2] && in[3];
+      return in[0] & in[1] & in[2] & in[3];
     case CellKind::kNand4:
-      return !(in[0] && in[1] && in[2] && in[3]);
+      return ~(in[0] & in[1] & in[2] & in[3]);
     case CellKind::kAoi21:
-      return !((in[0] && in[1]) || in[2]);
+      return ~((in[0] & in[1]) | in[2]);
     case CellKind::kOai21:
-      return !((in[0] || in[1]) && in[2]);
+      return ~((in[0] | in[1]) & in[2]);
     case CellKind::kAoi22:
-      return !((in[0] && in[1]) || (in[2] && in[3]));
+      return ~((in[0] & in[1]) | (in[2] & in[3]));
     case CellKind::kOai22:
-      return !((in[0] || in[1]) && (in[2] || in[3]));
+      return ~((in[0] | in[1]) & (in[2] | in[3]));
     case CellKind::kXor2:
-      return in[0] != in[1];
+      return in[0] ^ in[1];
     case CellKind::kXnor2:
-      return in[0] == in[1];
+      return ~(in[0] ^ in[1]);
     case CellKind::kTie0:
-      return false;
+      return 0;
     case CellKind::kTie1:
-      return true;
+      return ~0ull;
   }
-  return false;
+  return 0;
+}
+
+std::uint64_t cell_truth_table(CellKind kind) {
+  std::uint64_t pins[kMaxCellArity];
+  for (unsigned j = 0; j < kMaxCellArity; ++j)
+    pins[j] = exhaustive_input_word(j, 0);
+  return evaluate_cell_word(kind, pins);
 }
 
 CellLibrary CellLibrary::from_cells(std::vector<Cell> cells) {

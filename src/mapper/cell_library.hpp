@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -50,8 +49,20 @@ struct Cell {
   double internal_energy;  ///< fJ per output transition
 };
 
-/// Evaluates the cell function on input values (size must match).
-bool evaluate_cell(CellKind kind, std::span<const bool> inputs);
+/// Number of input pins of a cell kind (0 for the tie cells).
+unsigned cell_arity(CellKind kind);
+
+/// The widest cell: no kind has more pins.
+inline constexpr unsigned kMaxCellArity = 4;
+
+/// The cell function on 64 input vectors at once: `in[k]` holds pin k's
+/// value on every vector (bit b = vector b); reads cell_arity(kind) words.
+/// This switch is the only definition of what each cell computes.
+std::uint64_t evaluate_cell_word(CellKind kind, const std::uint64_t* in);
+
+/// Truth table of the cell over its pins: bit m is the output when pin j
+/// carries bit j of m (bits m >= 2^arity repeat the table).
+std::uint64_t cell_truth_table(CellKind kind);
 
 class CellLibrary {
  public:

@@ -1,33 +1,19 @@
 #include "mapper/power.hpp"
 
-#include <stdexcept>
+#include <bit>
 
 #include "common/bits.hpp"
 
 namespace rdc {
 
 std::vector<double> net_probabilities(const Netlist& netlist) {
-  const unsigned n = netlist.num_inputs();
-  if (n > TernaryTruthTable::kMaxInputs)
-    throw std::invalid_argument("net_probabilities: too many inputs");
-  const std::uint32_t vectors = num_minterms(n);
   std::vector<std::uint64_t> ones(netlist.num_nets(), 0);
-  for (std::uint32_t m = 0; m < vectors; ++m) {
-    // evaluate() returns outputs only; recompute values inline instead.
-    // To avoid re-simulating per net we rely on evaluate()'s internal order:
-    // replicate it here for all nets.
-    std::vector<bool> value(netlist.num_nets(), false);
-    for (unsigned i = 0; i < n; ++i) value[i] = (m >> i) & 1u;
-    bool pins[8];
-    for (const Gate& g : netlist.gates()) {
-      std::size_t k = 0;
-      for (const std::uint32_t f : g.fanins) pins[k++] = value[f];
-      value[g.output_net] =
-          evaluate_cell(g.kind, std::span<const bool>(pins, k));
-    }
-    for (std::uint32_t net = 0; net < netlist.num_nets(); ++net)
-      if (value[net]) ++ones[net];
-  }
+  netlist.simulate_exhaustive(
+      [&](std::uint64_t, std::span<const std::uint64_t> nets) {
+        for (std::uint32_t net = 0; net < netlist.num_nets(); ++net)
+          ones[net] += static_cast<std::uint64_t>(std::popcount(nets[net]));
+      });
+  const std::uint32_t vectors = num_minterms(netlist.num_inputs());
   std::vector<double> p(netlist.num_nets());
   for (std::uint32_t net = 0; net < netlist.num_nets(); ++net)
     p[net] = static_cast<double>(ones[net]) / vectors;

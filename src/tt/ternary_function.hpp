@@ -48,6 +48,14 @@ class TernaryTruthTable {
 
   void set_phase(std::uint32_t minterm, Phase p);
 
+  /// Word-parallel completely specified write: minterm 64w + b becomes
+  /// on-set where bit b of `on` is 1 and off-set elsewhere (bits past
+  /// size() are dropped). Turns simulation words into a truth table.
+  void set_word(std::size_t w, std::uint64_t on) {
+    on_.set_word(w, on);
+    dc_.set_word(w, 0);
+  }
+
   bool is_on(std::uint32_t m) const { return on_.get(m); }
   bool is_dc(std::uint32_t m) const { return dc_.get(m); }
   bool is_off(std::uint32_t m) const { return !on_.get(m) && !dc_.get(m); }
