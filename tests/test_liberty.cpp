@@ -97,6 +97,17 @@ library(l) {
 }
 )lib";
   EXPECT_THROW(parse_liberty_string(text), std::runtime_error);
+
+  // More pins than any cell kind (and than a 32-bit pin vector holds).
+  std::string wide = "library(l) {\n  cell(INV) {\n    area : 1;\n"
+                     "    pin(A) { direction : input; capacitance : 1; }\n"
+                     "    pin(Y) { direction : output; function : \"!A\"; }\n"
+                     "  }\n  cell(WIDE) {\n    area : 9;\n";
+  for (int pin = 0; pin < 33; ++pin)
+    wide += "    pin(P" + std::to_string(pin) +
+            ") { direction : input; capacitance : 1; }\n";
+  wide += "    pin(Y) { direction : output; function : \"P0\"; }\n  }\n}\n";
+  EXPECT_THROW(parse_liberty_string(wide), std::runtime_error);
 }
 
 TEST(Liberty, RequiresInverter) {
