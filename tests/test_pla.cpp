@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "benchdata/suite.hpp"
 #include "common/rng.hpp"
 #include "pla/cover.hpp"
 #include "pla/cube.hpp"
@@ -164,6 +167,112 @@ TEST(PlaIo, ParseFrType) {
   EXPECT_EQ(spec.output(0).phase(0b00), Phase::kZero);
   EXPECT_EQ(spec.output(0).phase(0b01), Phase::kDc);
   EXPECT_EQ(spec.output(0).phase(0b10), Phase::kDc);
+}
+
+TEST(PlaIo, ParseFdrType) {
+  // fdr: all three covers explicit, unmentioned minterms are OFF.
+  const std::string text = R"(
+.i 3
+.o 1
+.type fdr
+11- 1
+0-- -
+000 0
+.e
+)";
+  const IncompleteSpec spec = parse_pla_string(text, "fdr");
+  // Minterm bit j is x_j; "0--" is x0 = 0, i.e. the even minterms.
+  const Phase want[8] = {Phase::kZero, Phase::kZero, Phase::kDc,
+                         Phase::kOne,  Phase::kDc,   Phase::kZero,
+                         Phase::kDc,   Phase::kOne};
+  for (std::uint32_t m = 0; m < 8; ++m)
+    EXPECT_EQ(spec.output(0).phase(m), want[m]) << "minterm " << m;
+}
+
+TEST(PlaIo, OverlappingRowsFollowPhasePrecedence) {
+  // ON wins over DC and OFF whatever the row order; under fdr an OFF row
+  // overrides an overlapping DC row.
+  const IncompleteSpec fd = parse_pla_string(
+      ".i 2\n.o 2\n.type fd\n-1 -1\n11 1-\n1- -~\n.e\n", "fd");
+  EXPECT_EQ(fd.output(0).phase(0b11), Phase::kOne);
+  EXPECT_EQ(fd.output(0).phase(0b10), Phase::kDc);
+  EXPECT_EQ(fd.output(0).phase(0b01), Phase::kDc);
+  EXPECT_EQ(fd.output(0).phase(0b00), Phase::kZero);
+  EXPECT_EQ(fd.output(1).phase(0b11), Phase::kOne);
+  EXPECT_EQ(fd.output(1).phase(0b10), Phase::kOne);
+  EXPECT_EQ(fd.output(1).phase(0b01), Phase::kZero);
+
+  const IncompleteSpec fr =
+      parse_pla_string(".i 2\n.o 1\n.type fr\n1- 1\n-1 0\n.e\n", "fr");
+  EXPECT_EQ(fr.output(0).phase(0b11), Phase::kOne);
+  EXPECT_EQ(fr.output(0).phase(0b10), Phase::kZero);
+  EXPECT_EQ(fr.output(0).phase(0b01), Phase::kOne);
+  EXPECT_EQ(fr.output(0).phase(0b00), Phase::kDc);
+
+  const IncompleteSpec fdr = parse_pla_string(
+      ".i 2\n.o 1\n.type fdr\n-1 0\n-- -\n11 1\n.e\n", "fdr");
+  EXPECT_EQ(fdr.output(0).phase(0b11), Phase::kOne);
+  EXPECT_EQ(fdr.output(0).phase(0b10), Phase::kZero);
+  EXPECT_EQ(fdr.output(0).phase(0b01), Phase::kDc);
+  EXPECT_EQ(fdr.output(0).phase(0b00), Phase::kDc);
+}
+
+TEST(PlaIo, ParseMatchesPerMintermReference) {
+  // Random rows with free inputs on both sides of the 64-lane word
+  // boundary, checked against the per-minterm precedence rule: background
+  // (DC for fr, OFF otherwise), then DC rows, then OFF rows, then ON rows.
+  Rng rng(4242);
+  const char* types[] = {"f", "fd", "fr", "fdr"};
+  for (const unsigned n : {1u, 3u, 6u, 7u, 9u}) {
+    for (const char* type : types) {
+      const std::string t = type;
+      const bool has_dc = t == "fd" || t == "fdr";
+      const bool has_off = t == "fr" || t == "fdr";
+      const unsigned outputs = 2;
+      std::string text = ".i " + std::to_string(n) + "\n.o 2\n.type " + t +
+                         "\n";
+      std::vector<std::vector<Cube>> on(outputs), off(outputs), dc(outputs);
+      for (int row = 0; row < 12; ++row) {
+        std::string in;
+        for (unsigned j = 0; j < n; ++j) in.push_back("01--"[rng.below(4)]);
+        std::string out;
+        for (unsigned o = 0; o < outputs; ++o) {
+          const char c = "01-~"[rng.below(4)];
+          out.push_back(c);
+          const Cube cube = Cube::parse(in);
+          if (c == '1') on[o].push_back(cube);
+          if (c == '0' && has_off) off[o].push_back(cube);
+          if (c == '-' && has_dc) dc[o].push_back(cube);
+        }
+        text += in + " " + out + "\n";
+      }
+      const IncompleteSpec spec = parse_pla_string(text + ".e\n", "r");
+      for (unsigned o = 0; o < outputs; ++o) {
+        const Cover on_c(n, on[o]), off_c(n, off[o]), dc_c(n, dc[o]);
+        for (std::uint32_t m = 0; m < num_minterms(n); ++m) {
+          Phase want = t == "fr" ? Phase::kDc : Phase::kZero;
+          if (dc_c.covers_minterm(m)) want = Phase::kDc;
+          if (off_c.covers_minterm(m)) want = Phase::kZero;
+          if (on_c.covers_minterm(m)) want = Phase::kOne;
+          ASSERT_EQ(spec.output(o).phase(m), want)
+              << "type " << t << " n=" << n << " output " << o
+              << " minterm " << m;
+        }
+      }
+    }
+  }
+}
+
+TEST(PlaIo, WriteParseRoundTripsTable1Suite) {
+  for (const IncompleteSpec& spec : table1_suite()) {
+    std::ostringstream out;
+    write_pla(spec, out);
+    const IncompleteSpec parsed = parse_pla_string(out.str(), spec.name());
+    ASSERT_EQ(parsed.num_outputs(), spec.num_outputs()) << spec.name();
+    for (unsigned o = 0; o < spec.num_outputs(); ++o)
+      EXPECT_EQ(parsed.output(o), spec.output(o))
+          << spec.name() << " output " << o;
+  }
 }
 
 TEST(PlaIo, ParseRejectsBadWidth) {
