@@ -221,8 +221,12 @@ $smoke_dir/tiny.pla
 $smoke_dir/broken.blif
 $smoke_dir/slow.pla
 EOF
-./build/bench/bench_table1 --circuits "$smoke_dir/circuits.txt" \
-  --deadline-ms 150 --json "$smoke_dir/faults.json" > "$smoke_dir/faults.txt"
+# Traced: the healthy circuit is minimized, so the span summary must name
+# the ESPRESSO sub-steps.
+RDC_TRACE=summary \
+  ./build/bench/bench_table1 --circuits "$smoke_dir/circuits.txt" \
+  --deadline-ms 150 --json "$smoke_dir/faults.json" > "$smoke_dir/faults.txt" \
+  2> "$smoke_dir/faults_summary.txt"
 for expect in '"status": "OK"' '"status": "PARSE_ERROR"' \
               '"status": "DEADLINE_EXCEEDED"'; do
   grep -qF "$expect" "$smoke_dir/faults.json" || {
@@ -231,6 +235,11 @@ for expect in '"status": "OK"' '"status": "PARSE_ERROR"' \
     exit 1
   }
 done
+grep -q "^espresso.expand " "$smoke_dir/faults_summary.txt" || {
+  echo "fault smoke: trace summary lacks the espresso.expand span" >&2
+  cat "$smoke_dir/faults_summary.txt" >&2
+  exit 1
+}
 
 # Run B: deterministic fault injection. Two healthy single-output circuits,
 # RDC_FAULT=espresso:2 under one thread: circuit 1 minimizes fine, circuit

@@ -97,7 +97,10 @@ EspressoResult minimize_bounded(const TernaryTruthTable& f,
   // blocking cover (far fewer cubes than one per off minterm).
   Cover on_dc = on;
   for (const Cube& c : dc.cubes()) on_dc.add(c);
-  const Cover off = complement(on_dc);
+  const Cover off = [&] {
+    RDC_SPAN("espresso.complement");
+    return complement(on_dc);
+  }();
 
   return espresso_bounded(on, dc, off, options);
 }

@@ -1,52 +1,90 @@
 #include "espresso/expand.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <numeric>
 #include <vector>
 
 #include "exec/budget.hpp"
+#include "obs/trace.hpp"
 
 namespace rdc {
-namespace {
-
-bool intersects_cover(const Cube& c, const Cover& cover) {
-  for (const Cube& q : cover.cubes())
-    if (c.intersects(q, cover.num_inputs())) return true;
-  return false;
-}
-
-}  // namespace
 
 Cube expand_cube(const Cube& c, const Cover& off, const Cover& peers) {
   const unsigned n = off.num_inputs();
+  const std::uint32_t all = (1u << n) - 1;
+
+  // Blocking matrix: per nonempty off-cube, the variables where c conflicts
+  // with it. Raising j keeps the cube off that off-cube iff its row is not
+  // exactly {j}; an empty row means c already meets the off-set, so no
+  // raise is ever feasible.
+  std::vector<std::uint32_t> blocking;
+  blocking.reserve(off.size());
+  for (const Cube& q : off.cubes()) {
+    if (q.empty(n)) continue;
+    const Cube x = c.intersect(q);
+    const std::uint32_t row = ~(x.mask0 | x.mask1) & all;
+    if (row == 0) return c;
+    blocking.push_back(row);
+  }
+  // Covering matrix: per peer c does not contain yet, the variables where
+  // it fails to. Raising j newly contains the peers whose row is exactly
+  // {j}: that count is the gain of j.
+  std::vector<std::uint32_t> covering;
+  covering.reserve(peers.size());
+  for (const Cube& p : peers.cubes()) {
+    const std::uint32_t row = (p.mask0 & ~c.mask0) | (p.mask1 & ~c.mask1);
+    if (row != 0) covering.push_back(row);
+  }
+
+  // `raisable` holds the literals not yet known to be blocked. A blocked
+  // variable stays blocked (its singleton row never changes), so a row
+  // naming a non-raisable variable can neither block nor gain a raisable
+  // one and is dropped.
   Cube current = c;
+  std::uint32_t raisable = (c.mask0 ^ c.mask1) & all;
+  std::uint32_t raised = 0;
   while (true) {
-    int best_var = -1;
-    std::size_t best_gain = 0;
-    bool best_valid = false;
-    for (unsigned j = 0; j < n; ++j) {
-      const bool fixed =
-          test_bit(current.mask0, j) != test_bit(current.mask1, j);
-      if (!fixed) continue;
-      const Cube raised = current.expanded(j);
-      if (intersects_cover(raised, off)) continue;
-      // Gain: peer cubes newly contained by the raised cube.
-      std::size_t gain = 0;
-      for (const Cube& p : peers.cubes())
-        if (raised.contains(p) && !current.contains(p)) ++gain;
-      if (!best_valid || gain > best_gain) {
-        best_valid = true;
-        best_var = static_cast<int>(j);
-        best_gain = gain;
+    std::size_t kept = 0;
+    for (std::uint32_t row : blocking) {
+      row &= ~raised;
+      if ((row & ~raisable) != 0) continue;
+      if (std::has_single_bit(row)) {
+        raisable &= ~row;
+        continue;
       }
+      blocking[kept++] = row;
     }
-    if (!best_valid) break;
-    current = current.expanded(static_cast<unsigned>(best_var));
+    blocking.resize(kept);
+    if (raisable == 0) break;
+
+    std::array<std::uint32_t, 32> gain{};
+    kept = 0;
+    for (std::uint32_t row : covering) {
+      row &= ~raised;
+      if (row == 0 || (row & ~raisable) != 0) continue;
+      if (std::has_single_bit(row)) ++gain[std::countr_zero(row)];
+      covering[kept++] = row;
+    }
+    covering.resize(kept);
+
+    // First raisable variable with the largest gain.
+    unsigned best = std::countr_zero(raisable);
+    for (std::uint32_t rest = raisable & (raisable - 1); rest != 0;
+         rest &= rest - 1) {
+      const unsigned j = std::countr_zero(rest);
+      if (gain[j] > gain[best]) best = j;
+    }
+    current = current.expanded(best);
+    raised = 1u << best;
+    raisable &= ~raised;
   }
   return current;
 }
 
 Cover expand(const Cover& on, const Cover& off) {
+  RDC_SPAN("espresso.expand");
   const unsigned n = on.num_inputs();
 
   // Process small cubes first: they have the most to gain, and the cubes

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "espresso/complement.hpp"
 #include "exec/budget.hpp"
+#include "obs/trace.hpp"
 
 namespace rdc {
 
@@ -19,6 +21,7 @@ Cube supercube(const Cover& cover) {
 }
 
 Cover reduce(const Cover& on, const Cover& dc) {
+  RDC_SPAN("espresso.reduce");
   const unsigned n = on.num_inputs();
 
   // Classic maximal-reduction rule: c is replaced by
@@ -38,18 +41,18 @@ Cover reduce(const Cover& on, const Cover& dc) {
   std::vector<bool> dropped(cubes.size(), false);
   for (std::size_t idx : order) {
     exec::checkpoint();  // per-cube budget poll (DESIGN.md §10)
-    Cover rest(n);
+    const Cube c = cubes[idx];
+    Cover in_cube(n);
     for (std::size_t i = 0; i < cubes.size(); ++i)
-      if (i != idx && !dropped[i]) rest.add(cubes[i]);
-    for (const Cube& c : dc.cubes()) rest.add(c);
+      if (i != idx && !dropped[i]) in_cube.add_cofactor(cubes[i], c);
+    for (const Cube& d : dc.cubes()) in_cube.add_cofactor(d, c);
 
-    const Cover in_cube = rest.cofactor(cubes[idx]);
-    const Cover uncovered = complement(in_cube);
-    if (uncovered.empty_cover()) {
+    const std::optional<Cube> uncovered = supercube_of_complement(in_cube);
+    if (!uncovered) {
       dropped[idx] = true;  // everything in the cube is covered elsewhere
       continue;
     }
-    cubes[idx] = cubes[idx].intersect(supercube(uncovered));
+    cubes[idx] = c.intersect(*uncovered);
   }
 
   Cover result(n);

@@ -39,15 +39,8 @@ Cover Cover::from_phase(const TernaryTruthTable& f, Phase phase) {
 Cover Cover::cofactor(const Cube& c) const {
   // Variables fixed by c get raised to don't-care in the surviving cubes;
   // cubes that conflict with c on a fixed variable drop out.
-  const std::uint32_t fixed = c.mask0 ^ c.mask1;
   Cover result(num_inputs_);
-  for (const Cube& q : cubes_) {
-    if (!q.intersects(c, num_inputs_)) continue;
-    Cube r = q;
-    r.mask0 |= fixed;
-    r.mask1 |= fixed;
-    result.add(r);
-  }
+  for (const Cube& q : cubes_) result.add_cofactor(q, c);
   return result;
 }
 

@@ -1,5 +1,6 @@
 #include "pla/pla_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -7,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/bits.hpp"
 #include "espresso/espresso.hpp"
 #include "pla/cover.hpp"
 
@@ -140,29 +142,44 @@ RawPla read_raw(std::istream& in) {
   return pla;
 }
 
+/// Sets every minterm of cube `c` to phase `p`, 64 minterms per word:
+/// inputs below 6 pick lanes within a word (the exhaustive input
+/// patterns), inputs from 6 up pick words (bit i - 6 of the word index),
+/// so only the words the cube meets are touched.
+void paint_cube(TernaryTruthTable& tt, const Cube& c, Phase p) {
+  const unsigned n = tt.num_inputs();
+  if (c.empty(n)) return;
+  std::uint64_t lanes = ~0ull;
+  for (unsigned j = 0; j < std::min(n, 6u); ++j) {
+    const std::uint64_t pattern = exhaustive_input_word(j, 0);
+    if (!test_bit(c.mask1, j)) lanes &= ~pattern;
+    if (!test_bit(c.mask0, j)) lanes &= pattern;
+  }
+  const std::uint32_t word_bits = n > 6 ? (1u << (n - 6)) - 1 : 0;
+  const std::uint32_t free_words = ((c.mask0 & c.mask1) >> 6) & word_bits;
+  const std::uint32_t one_words = ((c.mask1 & ~c.mask0) >> 6) & word_bits;
+  std::uint32_t sub = 0;  // walks every subset of free_words
+  do {
+    tt.set_phase_word(one_words | sub, lanes, p);
+    sub = (sub - free_words) & free_words;
+  } while (sub != 0);
+}
+
 }  // namespace
 
 IncompleteSpec parse_pla(std::istream& in, std::string name) {
   const RawPla pla = read_raw(in);
   IncompleteSpec spec(std::move(name), pla.num_inputs, pla.num_outputs);
-  const std::uint32_t size = num_minterms(pla.num_inputs);
   for (unsigned o = 0; o < pla.num_outputs; ++o) {
-    const Cover on(pla.num_inputs, pla.on[o]);
-    const Cover off(pla.num_inputs, pla.off[o]);
-    const Cover dc(pla.num_inputs, pla.dc[o]);
     TernaryTruthTable& tt = spec.output(o);
-    for (std::uint32_t m = 0; m < size; ++m) {
-      // Background phase depends on which covers the type makes explicit.
-      Phase p = (pla.type == PlaType::kFr) ? Phase::kDc : Phase::kZero;
-      if (pla.type != PlaType::kFr && dc.covers_minterm(m)) p = Phase::kDc;
-      if (pla.type == PlaType::kFr && off.covers_minterm(m)) p = Phase::kZero;
-      if (pla.type == PlaType::kFdr) {
-        if (dc.covers_minterm(m)) p = Phase::kDc;
-        if (off.covers_minterm(m)) p = Phase::kZero;
-      }
-      if (on.covers_minterm(m)) p = Phase::kOne;  // ON wins over overlaps
-      tt.set_phase(m, p);
-    }
+    // Background (DC for fr, OFF otherwise), then the DC, OFF and ON rows
+    // the type makes explicit: each later set overrides the earlier ones
+    // where they overlap, so ON wins and OFF overrides DC.
+    if (pla.type == PlaType::kFr)
+      paint_cube(tt, Cube::full(pla.num_inputs), Phase::kDc);
+    for (const Cube& c : pla.dc[o]) paint_cube(tt, c, Phase::kDc);
+    for (const Cube& c : pla.off[o]) paint_cube(tt, c, Phase::kZero);
+    for (const Cube& c : pla.on[o]) paint_cube(tt, c, Phase::kOne);
   }
   return spec;
 }

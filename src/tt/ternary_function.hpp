@@ -56,6 +56,16 @@ class TernaryTruthTable {
     dc_.set_word(w, 0);
   }
 
+  /// Word-parallel paint: minterm 64w + b takes phase `p` for every set
+  /// bit b of `lanes` and keeps its phase elsewhere (bits past size() are
+  /// dropped).
+  void set_phase_word(std::size_t w, std::uint64_t lanes, Phase p) {
+    on_.set_word(w, p == Phase::kOne ? on_.word(w) | lanes
+                                     : on_.word(w) & ~lanes);
+    dc_.set_word(w, p == Phase::kDc ? dc_.word(w) | lanes
+                                    : dc_.word(w) & ~lanes);
+  }
+
   bool is_on(std::uint32_t m) const { return on_.get(m); }
   bool is_dc(std::uint32_t m) const { return dc_.get(m); }
   bool is_off(std::uint32_t m) const { return !on_.get(m) && !dc_.get(m); }
