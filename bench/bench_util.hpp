@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "benchdata/suite.hpp"
+#include "common/parse_number.hpp"
 #include "common/thread_pool.hpp"
 #include "exec/budget.hpp"
 #include "exec/status.hpp"
@@ -156,6 +157,13 @@ inline bool parse_args(int argc, char** argv, Options& options,
   obs::metrics_init_from_env();
   obs::events_enabled();
   exit_code = 0;
+  const auto parse_deadline = [&](const char* text) {
+    if (parse_number(text, options.deadline_ms) && options.deadline_ms >= 0.0)
+      return true;
+    std::fprintf(stderr, "%s: bad --deadline-ms value '%s'\n", argv[0], text);
+    exit_code = 2;
+    return false;
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
@@ -191,9 +199,9 @@ inline bool parse_args(int argc, char** argv, Options& options,
         exit_code = 2;
         return false;
       }
-      options.deadline_ms = std::strtod(argv[++i], nullptr);
+      if (!parse_deadline(argv[++i])) return false;
     } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {
-      options.deadline_ms = std::strtod(arg + 14, nullptr);
+      if (!parse_deadline(arg + 14)) return false;
     } else if (std::strcmp(arg, "--circuits") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s: --circuits requires a path\n", argv[0]);

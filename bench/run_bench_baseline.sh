@@ -6,7 +6,7 @@
 # The artifact is an rdc.bench.report.v1 document (bench_micro --json):
 # alongside the per-benchmark rows it records the run metadata — git
 # revision, UTC date, thread count, compiler, and host context (CPU
-# model, core count, selected SIMD backend) — so a snapshot is
+# model, core count) — so a snapshot is
 # attributable to the commit and machine that produced it, and a
 # rdc_perf_diff verdict can be sanity-checked against hardware drift.
 #
@@ -50,8 +50,7 @@ import sys
 with open(sys.argv[1]) as fh:
     data = json.load(fh)
 meta = {k: data[k]
-        for k in ("git_rev", "date", "threads", "compiler", "cpu", "cores",
-                  "simd")
+        for k in ("git_rev", "date", "threads", "compiler", "cpu", "cores")
         if k in data}
 print("\nrun metadata:", ", ".join(f"{k}={v}" for k, v in meta.items()))
 times = {row["name"]: row["real_time"] for row in data["rows"]}

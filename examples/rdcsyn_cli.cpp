@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "flow/batch_supervisor.hpp"
 #include "flow/pipeline.hpp"
 #include "flow/synthesis_flow.hpp"
@@ -119,10 +120,10 @@ struct Args {
 bool parse_args(int argc, char** argv, int first, Args& args) {
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
-    auto value = [&](double& slot) {
-      if (i + 1 >= argc) return false;
-      slot = std::atof(argv[++i]);
-      return true;
+    auto value = [&](auto& slot) {
+      if (i + 1 < argc && parse_number(argv[++i], slot)) return true;
+      std::fprintf(stderr, "bad value for %s\n", a.c_str());
+      return false;
     };
     if (a == "-o" && i + 1 < argc) {
       args.output = argv[++i];
@@ -139,9 +140,8 @@ bool parse_args(int argc, char** argv, int first, Args& args) {
       args.pipeline = argv[++i];
     } else if (a == "--json" && i + 1 < argc) {
       args.json = argv[++i];
-    } else if (a == "--retries" && i + 1 < argc) {
-      args.retries = std::atoi(argv[++i]);
-      if (args.retries < 1) return false;
+    } else if (a == "--retries") {
+      if (!value(args.retries) || args.retries < 1) return false;
     } else if (a == "--fraction") {
       if (!value(args.fraction)) return false;
       args.flow_knobs = true;

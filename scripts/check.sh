@@ -1,7 +1,5 @@
 #!/usr/bin/env bash
-# Local CI: the tier-1 configure/build/ctest line from ROADMAP.md (run
-# twice: once on the default SIMD dispatch, once pinned to the scalar
-# backend with RDC_SIMD=scalar), followed
+# Local CI: the tier-1 configure/build/ctest line from ROADMAP.md, followed
 # by an ASan+UBSan build of the unit tests to catch memory and UB bugs the
 # release build hides (the word-parallel kernels and the thread pool are
 # exactly the kind of code sanitizers pay off on), a fuzz-corpus replay of
@@ -43,13 +41,6 @@ echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . -DRDC_ENABLE_FUZZERS=ON
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
-
-echo
-echo "== tier-1 rerun on the scalar SIMD backend =="
-# The differential tests force each backend per test, but the whole suite
-# must also hold with the dispatch pinned to the portable kernels — the
-# configuration every non-x86 target runs.
-(cd build && RDC_SIMD=scalar ctest --output-on-failure -j)
 
 echo
 echo "== observability smoke: traced --json harness run =="
@@ -548,8 +539,29 @@ code=0; wait "$serve_pid" || code=$?
 }
 
 echo
+echo "== numeric CLI flags: malformed values exit 2 =="
+# A numeric flag must parse completely and fit its type; anything else is
+# a usage error, never a silent default (a negative deadline used to wrap
+# to ~49 days, a non-number cache size used to turn the cache off).
+expect_usage_exit() {
+  local code=0
+  "$@" > /dev/null 2>&1 || code=$?
+  [[ "$code" == 2 ]] || {
+    echo "numeric flag check: '$*' exited $code, want 2" >&2
+    exit 1
+  }
+}
+expect_usage_exit ./build/tools/rdcsyn_client run examples/fixtures/builtin.pla \
+  --socket "$smoke_dir/none.sock" --deadline-ms -1
+expect_usage_exit ./build/tools/rdcsynd --socket "$smoke_dir/none.sock" \
+  --cache-mb abc
+expect_usage_exit ./build/examples/rdcsyn_cli synth examples/fixtures/builtin.pla \
+  --fraction abc
+expect_usage_exit ./build/bench/bench_table1 --deadline-ms abc
+
+echo
 echo "== perf-regression gate: rdc_perf_diff =="
-# Identity self-check: the committed SIMD baseline diffed against itself
+# Identity self-check: the committed kernel baseline diffed against itself
 # must pass at threshold 0 (byte-deterministic comparator, strict '>').
 ./build/tools/rdc_perf_diff BENCH_simd.json BENCH_simd.json --threshold 0 \
   > /dev/null
@@ -562,17 +574,23 @@ if ./build/tools/rdc_perf_diff \
 fi
 
 echo
-echo "== bench smoke: SIMD kernel snapshot validates =="
+echo "== bench smoke: kernel snapshot validates =="
 # A cut-down run of the BENCH_simd.json recipe (the checked-in artifact is
 # produced by bench/run_bench_baseline.sh build BENCH_simd.json): the
-# snapshot must be a structurally valid rdc.bench.report.v1 document that
-# records which backend produced it.
+# snapshot must be a structurally valid rdc.bench.report.v1 document.
 ./build/bench/bench_micro \
   --benchmark_filter='BM_(ExactErrorRate|SampledErrorRate)/16$' \
   --benchmark_min_time=0.05 \
-  --json "$smoke_dir/bench_simd.json" > /dev/null
-./build/tools/rdc_json_check "$smoke_dir/bench_simd.json" \
-  schema suite git_rev date threads compiler simd rows counters
+  --json "$smoke_dir/bench_kernels.json" > /dev/null
+./build/tools/rdc_json_check "$smoke_dir/bench_kernels.json" \
+  schema suite git_rev date threads compiler rows counters
+# The committed snapshots keep validating; the older ones still carry the
+# "simd" header key of the removed kernel backends, which the schema
+# tolerates as an extra key.
+for snapshot in BENCH_simd.json BENCH_kernels.json BENCH_faultmodels.json \
+                BENCH_serve.json; do
+  ./build/tools/rdc_json_check "$snapshot"
+done
 
 if [[ "$run_sanitizers" == "1" ]]; then
   echo

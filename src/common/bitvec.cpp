@@ -1,8 +1,16 @@
 #include "common/bitvec.hpp"
 
-#include "common/simd.hpp"
-
 namespace rdc {
+namespace {
+
+/// Word `w` of the neighbor permutation along `j` of the bitset `words`.
+inline std::uint64_t neighbor_word(const std::uint64_t* words, std::size_t w,
+                                   unsigned j) {
+  return j < 6 ? word_neighbor_shift(words[w], j)
+               : words[w ^ (std::size_t{1} << (j - 6))];
+}
+
+}  // namespace
 
 void BitVec::fill() {
   if (words_.empty()) return;
@@ -45,25 +53,16 @@ BitVec BitVec::complement() const {
 BitVec BitVec::neighbor_shift(unsigned j) const {
   assert((2ull << j) <= num_bits_);
   BitVec result(num_bits_);
-  if (j < 6) {
-    for (std::size_t w = 0; w < words_.size(); ++w)
-      result.words_[w] = word_neighbor_shift(words_[w], j);
-  } else {
-    const std::size_t stride = std::size_t{1} << (j - 6);
-    for (std::size_t base = 0; base < words_.size(); base += 2 * stride) {
-      for (std::size_t i = 0; i < stride; ++i) {
-        result.words_[base + i] = words_[base + i + stride];
-        result.words_[base + i + stride] = words_[base + i];
-      }
-    }
-  }
+  for (std::size_t w = 0; w < words_.size(); ++w)
+    result.words_[w] = neighbor_word(words_.data(), w, j);
   return result;
 }
 
 BitVec BitVec::shift_xor_neighbors(unsigned j) const {
   assert((2ull << j) <= num_bits_);
   BitVec result(num_bits_);
-  simd::shift_xor(result.data(), words_.data(), words_.size(), j);
+  for (std::size_t w = 0; w < words_.size(); ++w)
+    result.words_[w] = neighbor_word(words_.data(), w, j) ^ words_[w];
   return result;
 }
 
@@ -117,13 +116,29 @@ BitVec bv_andnot(const BitVec& a, const BitVec& b) {
 
 std::uint64_t popcount_and(const BitVec& a, const BitVec& b) {
   assert(a.size() == b.size());
-  return simd::popcount_and(a.data(), b.data(), a.num_words());
+  std::uint64_t total = 0;
+  for (std::size_t w = 0; w < a.num_words(); ++w)
+    total += std::popcount(a.word(w) & b.word(w));
+  return total;
 }
 
 std::uint64_t popcount_xor_and(const BitVec& a, const BitVec& b,
                                const BitVec& c) {
   assert(a.size() == b.size() && a.size() == c.size());
-  return simd::popcount_xor_and(a.data(), b.data(), c.data(), a.num_words());
+  std::uint64_t total = 0;
+  for (std::size_t w = 0; w < a.num_words(); ++w)
+    total += std::popcount((a.word(w) ^ b.word(w)) & c.word(w));
+  return total;
+}
+
+std::uint64_t popcount_shiftxor_and(const BitVec& a, const BitVec& care,
+                                    unsigned j) {
+  assert(a.size() == care.size() && (2ull << j) <= a.size());
+  std::uint64_t total = 0;
+  for (std::size_t w = 0; w < a.num_words(); ++w)
+    total += std::popcount((neighbor_word(a.data(), w, j) ^ a.word(w)) &
+                           care.word(w));
+  return total;
 }
 
 }  // namespace rdc

@@ -152,5 +152,10 @@ std::uint64_t popcount_and(const BitVec& a, const BitVec& b);
 /// word-parallel exact error rate.
 std::uint64_t popcount_xor_and(const BitVec& a, const BitVec& b,
                                const BitVec& c);
+/// popcount(a.shift_xor_neighbors(j) & care) without materializing the
+/// permuted set: the per-pin count of the exact error rate. Requires
+/// 2^(j+1) <= size().
+std::uint64_t popcount_shiftxor_and(const BitVec& a, const BitVec& care,
+                                    unsigned j);
 
 }  // namespace rdc

@@ -94,27 +94,27 @@ const CellLibrary& CellLibrary::generic70() {
   // Representative 70 nm-class values: area in um^2, caps in fF, delays in
   // ps, leakage in nW, internal energy in fJ per transition.
   static const CellLibrary lib(std::vector<Cell>{
-      // kind              name      #in  area  cap  intr  slope leak  eint
-      {CellKind::kInv, "INVX1", 1, 1.00, 1.0, 8.0, 2.0, 1.0, 0.40},
-      {CellKind::kBuf, "BUFX1", 1, 1.33, 1.0, 16.0, 1.8, 1.4, 0.60},
-      {CellKind::kAnd2, "AND2X1", 2, 1.67, 1.0, 18.0, 2.2, 2.0, 0.80},
-      {CellKind::kNand2, "NAND2X1", 2, 1.33, 1.1, 12.0, 2.3, 1.6, 0.55},
-      {CellKind::kOr2, "OR2X1", 2, 1.67, 1.0, 20.0, 2.4, 2.0, 0.85},
-      {CellKind::kNor2, "NOR2X1", 2, 1.33, 1.2, 14.0, 2.8, 1.6, 0.60},
-      {CellKind::kAnd3, "AND3X1", 3, 2.00, 1.0, 22.0, 2.3, 2.6, 1.00},
-      {CellKind::kNand3, "NAND3X1", 3, 1.67, 1.2, 16.0, 2.8, 2.2, 0.75},
-      {CellKind::kOr3, "OR3X1", 3, 2.00, 1.0, 24.0, 2.6, 2.6, 1.05},
-      {CellKind::kNor3, "NOR3X1", 3, 1.67, 1.3, 20.0, 3.4, 2.2, 0.80},
-      {CellKind::kAnd4, "AND4X1", 4, 2.33, 1.0, 26.0, 2.4, 3.1, 1.20},
-      {CellKind::kNand4, "NAND4X1", 4, 2.00, 1.3, 20.0, 3.2, 2.8, 0.95},
-      {CellKind::kAoi21, "AOI21X1", 3, 1.67, 1.2, 16.0, 2.9, 2.0, 0.70},
-      {CellKind::kOai21, "OAI21X1", 3, 1.67, 1.2, 16.0, 2.9, 2.0, 0.70},
-      {CellKind::kAoi22, "AOI22X1", 4, 2.00, 1.3, 20.0, 3.3, 2.4, 0.90},
-      {CellKind::kOai22, "OAI22X1", 4, 2.00, 1.3, 20.0, 3.3, 2.4, 0.90},
-      {CellKind::kXor2, "XOR2X1", 2, 2.33, 1.8, 24.0, 3.0, 3.0, 1.30},
-      {CellKind::kXnor2, "XNOR2X1", 2, 2.33, 1.8, 24.0, 3.0, 3.0, 1.30},
-      {CellKind::kTie0, "TIELO", 0, 0.33, 0.0, 0.0, 0.0, 0.2, 0.0},
-      {CellKind::kTie1, "TIEHI", 0, 0.33, 0.0, 0.0, 0.0, 0.2, 0.0},
+      // kind              name      area  cap  intr  slope leak  eint
+      {CellKind::kInv, "INVX1", 1.00, 1.0, 8.0, 2.0, 1.0, 0.40},
+      {CellKind::kBuf, "BUFX1", 1.33, 1.0, 16.0, 1.8, 1.4, 0.60},
+      {CellKind::kAnd2, "AND2X1", 1.67, 1.0, 18.0, 2.2, 2.0, 0.80},
+      {CellKind::kNand2, "NAND2X1", 1.33, 1.1, 12.0, 2.3, 1.6, 0.55},
+      {CellKind::kOr2, "OR2X1", 1.67, 1.0, 20.0, 2.4, 2.0, 0.85},
+      {CellKind::kNor2, "NOR2X1", 1.33, 1.2, 14.0, 2.8, 1.6, 0.60},
+      {CellKind::kAnd3, "AND3X1", 2.00, 1.0, 22.0, 2.3, 2.6, 1.00},
+      {CellKind::kNand3, "NAND3X1", 1.67, 1.2, 16.0, 2.8, 2.2, 0.75},
+      {CellKind::kOr3, "OR3X1", 2.00, 1.0, 24.0, 2.6, 2.6, 1.05},
+      {CellKind::kNor3, "NOR3X1", 1.67, 1.3, 20.0, 3.4, 2.2, 0.80},
+      {CellKind::kAnd4, "AND4X1", 2.33, 1.0, 26.0, 2.4, 3.1, 1.20},
+      {CellKind::kNand4, "NAND4X1", 2.00, 1.3, 20.0, 3.2, 2.8, 0.95},
+      {CellKind::kAoi21, "AOI21X1", 1.67, 1.2, 16.0, 2.9, 2.0, 0.70},
+      {CellKind::kOai21, "OAI21X1", 1.67, 1.2, 16.0, 2.9, 2.0, 0.70},
+      {CellKind::kAoi22, "AOI22X1", 2.00, 1.3, 20.0, 3.3, 2.4, 0.90},
+      {CellKind::kOai22, "OAI22X1", 2.00, 1.3, 20.0, 3.3, 2.4, 0.90},
+      {CellKind::kXor2, "XOR2X1", 2.33, 1.8, 24.0, 3.0, 3.0, 1.30},
+      {CellKind::kXnor2, "XNOR2X1", 2.33, 1.8, 24.0, 3.0, 3.0, 1.30},
+      {CellKind::kTie0, "TIELO", 0.33, 0.0, 0.0, 0.0, 0.2, 0.0},
+      {CellKind::kTie1, "TIEHI", 0.33, 0.0, 0.0, 0.0, 0.2, 0.0},
   });
   return lib;
 }

@@ -40,7 +40,6 @@ enum class CellKind : std::uint8_t {
 struct Cell {
   CellKind kind;
   std::string name;
-  unsigned num_inputs;
   double area;             ///< um^2
   double input_cap;        ///< fF, per input pin
   double intrinsic_delay;  ///< ps

@@ -385,14 +385,14 @@ class LibertyParser {
     if (!output)
       throw std::runtime_error("liberty: cell " + cell.name +
                                " has no output pin");
-    cell.num_inputs = static_cast<unsigned>(input_names.size());
     cell.input_cap = input_cap;
     cell.intrinsic_delay = output->intrinsic_delay;
     cell.load_slope = output->load_slope;
 
     ExprParser expr_parser(output->function, input_names);
     const auto expr = expr_parser.parse();
-    const auto kind = match_kind(*expr, cell.num_inputs);
+    const auto kind =
+        match_kind(*expr, static_cast<unsigned>(input_names.size()));
     if (!kind)
       throw std::runtime_error("liberty: cell " + cell.name +
                                " computes an unsupported function \"" +
@@ -610,7 +610,7 @@ void write_liberty(const CellLibrary& lib, const std::string& name,
     out << "    area : " << cell.area << ";\n";
     out << "    cell_leakage_power : " << cell.leakage << ";\n";
     out << "    internal_energy : " << cell.internal_energy << ";\n";
-    for (unsigned pin = 0; pin < cell.num_inputs; ++pin) {
+    for (unsigned pin = 0; pin < cell_arity(cell.kind); ++pin) {
       out << "    pin(" << kPinNames[pin] << ") {\n";
       out << "      direction : input;\n";
       out << "      capacitance : " << cell.input_cap << ";\n";

@@ -6,7 +6,6 @@
 #include <ctime>
 #include <thread>
 
-#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/counters.hpp"
 #include "obs/json.hpp"
@@ -166,10 +165,6 @@ std::string RunReport::to_json() const {
   // regression verdict).
   w.key("cpu").value(host_cpu_model());
   w.key("cores").value(std::uint64_t{host_core_count()});
-  // Environment section, like `threads`: which kernel backend the dispatch
-  // layer selected. The rows/counters body stays byte-identical across
-  // backends; this header key records which one actually ran.
-  w.key("simd").value(simd::backend_name(simd::active_backend()));
   w.key("wall_ms").value(static_cast<double>(trace_now_ns() - start_ns_) /
                          1e6);
   if (!meta_.empty()) {

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "common/bitvec.hpp"
-#include "common/simd.hpp"
 #include "obs/counters.hpp"
 #include "reliability/detail.hpp"
 #include "tt/neighbor_stats.hpp"
@@ -59,15 +58,14 @@ double exact_error_rate(const TernaryTruthTable& implementation,
   // Word-parallel form: an event (care source m, pin j) propagates iff the
   // implementation's value changes when pin j flips, so per pin the
   // propagating sources are exactly the set bits of
-  // (on ^ neighbor_j(on)) & care. The fused dispatch kernel counts them
-  // without materializing the permuted set.
+  // (on ^ neighbor_j(on)) & care. The fused kernel counts them without
+  // materializing the permuted set.
   const unsigned n = spec.num_inputs();
   const BitVec& on = implementation.on_bits();
   const BitVec care = spec.care_bits();
   std::uint64_t propagating = 0;
   for (unsigned j = 0; j < n; ++j)
-    propagating +=
-        simd::popcount_shiftxor_and(on.data(), care.data(), on.num_words(), j);
+    propagating += popcount_shiftxor_and(on, care, j);
   return static_cast<double>(propagating) /
          (static_cast<double>(n) * static_cast<double>(spec.size()));
 }
@@ -114,8 +112,7 @@ double exact_error_rate_weighted(const TernaryTruthTable& implementation,
   double propagating = 0.0;
   for (unsigned j = 0; j < n; ++j)
     propagating += pin_weights[j] *
-                   static_cast<double>(simd::popcount_shiftxor_and(
-                       on.data(), care.data(), on.num_words(), j));
+                   static_cast<double>(popcount_shiftxor_and(on, care, j));
   return propagating / (total_weight * static_cast<double>(spec.size()));
 }
 

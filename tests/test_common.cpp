@@ -1,5 +1,5 @@
 // Unit tests for the common utilities: bit helpers, packed bitsets, the
-// thread pool, RNG, statistics.
+// thread pool, RNG, statistics, checked number parsing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 
 #include "common/bits.hpp"
 #include "common/bitvec.hpp"
+#include "common/parse_number.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -221,10 +222,12 @@ TEST(BitVec, SetAlgebraMatchesPerBit) {
 
 TEST(BitVec, NeighborShiftMatchesFlipBit) {
   // Covers both regimes: in-word shifts (j < 6) and word swaps (j >= 6),
-  // plus the sub-word lattices (n < 6).
+  // plus the sub-word lattices (n < 6). n up to 16 drives word strides
+  // j >= 6 over many words.
   Rng rng(405);
-  for (unsigned n = 1; n <= 8; ++n) {
+  for (unsigned n = 1; n <= 16; ++n) {
     const BitVec v = random_bitvec(1u << n, rng);
+    const BitVec care = random_bitvec(1u << n, rng);
     for (unsigned j = 0; j < n; ++j) {
       const BitVec shifted = v.neighbor_shift(j);
       for (std::uint32_t m = 0; m < (1u << n); ++m)
@@ -232,10 +235,18 @@ TEST(BitVec, NeighborShiftMatchesFlipBit) {
             << "n=" << n << " j=" << j << " m=" << m;
       // The permutation is an involution.
       EXPECT_EQ(shifted.neighbor_shift(j), v);
-      // shift_xor_neighbors is the value-change predicate.
+      // shift_xor_neighbors is the value-change predicate, and
+      // popcount_shiftxor_and counts it over the care set.
       const BitVec changed = v.shift_xor_neighbors(j);
-      for (std::uint32_t m = 0; m < (1u << n); ++m)
-        ASSERT_EQ(changed.get(m), v.get(m) != v.get(flip_bit(m, j)));
+      std::uint64_t changed_care = 0;
+      for (std::uint32_t m = 0; m < (1u << n); ++m) {
+        const bool flips = v.get(m) != v.get(flip_bit(m, j));
+        ASSERT_EQ(changed.get(m), flips)
+            << "n=" << n << " j=" << j << " m=" << m;
+        if (flips && care.get(m)) ++changed_care;
+      }
+      EXPECT_EQ(popcount_shiftxor_and(v, care, j), changed_care)
+          << "n=" << n << " j=" << j;
     }
   }
 }
@@ -405,6 +416,38 @@ TEST(ThreadPool, GlobalPoolIsUsable) {
                                     [&](std::uint64_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 32);
   EXPECT_GE(ThreadPool::global().num_threads(), 1u);
+}
+
+TEST(ParseNumber, AcceptsWholeInRangeValues) {
+  int i = 0;
+  EXPECT_TRUE(parse_number("42", i));
+  EXPECT_EQ(i, 42);
+  EXPECT_TRUE(parse_number("-7", i));
+  EXPECT_EQ(i, -7);
+  std::uint32_t u = 0;
+  EXPECT_TRUE(parse_number("4294967295", u));
+  EXPECT_EQ(u, 4294967295u);
+  double d = 0.0;
+  EXPECT_TRUE(parse_number("0.25", d));
+  EXPECT_EQ(d, 0.25);
+  EXPECT_TRUE(parse_number("-1e3", d));
+  EXPECT_EQ(d, -1000.0);
+}
+
+TEST(ParseNumber, RejectsMalformedOutOfRangeAndNonFinite) {
+  // Each rejection leaves the target untouched.
+  std::uint32_t u = 5;
+  for (const char* bad : {"", "abc", "-1", "4294967296", "12x", " 3", "+3",
+                          "1.5"})
+    EXPECT_FALSE(parse_number(bad, u)) << '"' << bad << '"';
+  EXPECT_EQ(u, 5u);
+  long l = 5;
+  EXPECT_FALSE(parse_number("99999999999999999999", l));
+  EXPECT_EQ(l, 5);
+  double d = 5.0;
+  for (const char* bad : {"", "abc", "0.5ms", "inf", "-inf", "nan", "1e999"})
+    EXPECT_FALSE(parse_number(bad, d)) << '"' << bad << '"';
+  EXPECT_EQ(d, 5.0);
 }
 
 }  // namespace

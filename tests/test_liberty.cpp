@@ -19,7 +19,6 @@ TEST(Liberty, RoundTripsBuiltinLibrary) {
     const Cell& b = parsed.cells()[i];
     EXPECT_EQ(a.kind, b.kind) << a.name;
     EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.num_inputs, b.num_inputs) << a.name;
     EXPECT_DOUBLE_EQ(a.area, b.area) << a.name;
     EXPECT_DOUBLE_EQ(a.input_cap, b.input_cap) << a.name;
     EXPECT_DOUBLE_EQ(a.intrinsic_delay, b.intrinsic_delay) << a.name;

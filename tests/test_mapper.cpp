@@ -67,7 +67,7 @@ TEST(CellLibrary, EvaluateAllKinds) {
 TEST(CellLibrary, Generic70HasAllKinds) {
   const CellLibrary& lib = CellLibrary::generic70();
   EXPECT_EQ(lib.cell(CellKind::kInv).name, "INVX1");
-  EXPECT_EQ(lib.cell(CellKind::kNand2).num_inputs, 2u);
+  EXPECT_EQ(cell_arity(lib.cell(CellKind::kNand2).kind), 2u);
   EXPECT_GT(lib.cell(CellKind::kXor2).area, lib.cell(CellKind::kInv).area);
   EXPECT_GT(lib.nominal_load(), 0.0);
 }

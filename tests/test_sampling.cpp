@@ -1,4 +1,5 @@
-// Tests for the sampled and multi-bit error-rate estimators.
+// Tests for the sampled (with confidence intervals) and multi-bit error-rate
+// estimators.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -8,7 +9,9 @@
 #include "exec/budget.hpp"
 #include "exec/status.hpp"
 #include "reliability/error_rate.hpp"
+#include "reliability/fault_model.hpp"
 #include "reliability/sampling.hpp"
+#include "tt/incomplete_spec.hpp"
 
 namespace rdc {
 namespace {
@@ -17,6 +20,17 @@ TernaryTruthTable random_complete(unsigned n, Rng& rng) {
   TernaryTruthTable f(n);
   for (std::uint32_t m = 0; m < f.size(); ++m)
     f.set_phase(m, rng.flip(0.5) ? Phase::kOne : Phase::kZero);
+  return f;
+}
+
+TernaryTruthTable random_ternary(unsigned n, double dc_density, Rng& rng) {
+  TernaryTruthTable f(n);
+  for (std::uint32_t m = 0; m < f.size(); ++m) {
+    if (rng.flip(dc_density))
+      f.set_phase(m, Phase::kDc);
+    else
+      f.set_phase(m, rng.flip(0.5) ? Phase::kOne : Phase::kZero);
+  }
   return f;
 }
 
@@ -137,6 +151,103 @@ TEST(SampledErrorRate, BudgetCheckpointTripsInsideTheDrawLoop) {
   } catch (const exec::StatusError& e) {
     EXPECT_EQ(e.status().code(), exec::StatusCode::kResourceExhausted);
   }
+}
+
+// --- sampled estimator with confidence intervals ---------------------------
+
+TEST(SampledCi, DeterministicForAFixedSeed) {
+  Rng make(7201);
+  const TernaryTruthTable spec = random_ternary(8, 0.4, make);
+  const TernaryTruthTable impl = random_ternary(8, 0.0, make);
+  Rng rng_a(42), rng_b(42);
+  const SampledRate a = sampled_error_rate_ci(impl, spec, 1, 5000, rng_a);
+  const SampledRate b = sampled_error_rate_ci(impl, spec, 1, 5000, rng_b);
+  EXPECT_EQ(a.rate, b.rate);
+  EXPECT_EQ(a.ci_low, b.ci_low);
+  EXPECT_EQ(a.ci_high, b.ci_high);
+  EXPECT_EQ(a.samples, b.samples);
+}
+
+TEST(SampledCi, IntervalIsOrderedAndClamped) {
+  Rng make(7202);
+  const TernaryTruthTable spec = random_ternary(6, 0.3, make);
+  const TernaryTruthTable impl = random_ternary(6, 0.0, make);
+  Rng rng(1);
+  const SampledRate r = sampled_error_rate_ci(impl, spec, 1, 2000, rng);
+  EXPECT_LE(0.0, r.ci_low);
+  EXPECT_LE(r.ci_low, r.rate);
+  EXPECT_LE(r.rate, r.ci_high);
+  EXPECT_LE(r.ci_high, 1.0);
+  EXPECT_GE(r.samples, 2000u);  // stratification never drops draws
+  EXPECT_GE(r.half_width(), 0.0);
+}
+
+TEST(SampledCi, ParityIsAPointEstimate) {
+  // Every event propagates through parity, so every stratum sees p = 1 and
+  // the interval collapses to [1, 1].
+  TernaryTruthTable parity(5);
+  for (std::uint32_t m = 0; m < 32; ++m) {
+    unsigned bits = 0;
+    for (unsigned j = 0; j < 5; ++j) bits += (m >> j) & 1u;
+    parity.set_phase(m, bits % 2 ? Phase::kOne : Phase::kZero);
+  }
+  Rng rng(3);
+  const SampledRate r = sampled_error_rate_ci(parity, parity, 1, 1000, rng);
+  EXPECT_EQ(r.rate, 1.0);
+  EXPECT_EQ(r.ci_low, 1.0);
+  EXPECT_EQ(r.ci_high, 1.0);
+}
+
+TEST(SampledCi, CoversTheExactRateAtSmallN) {
+  // Nominal coverage is 95%; over 100 independent seeds the exact rate
+  // should land inside the interval in the vast majority of them. The
+  // bound (85) leaves ~5 sigma of slack for binomial noise, so the test is
+  // deterministic in practice while still catching a broken interval.
+  Rng make(7203);
+  for (const unsigned n : {8u, 12u}) {
+    const TernaryTruthTable spec = random_ternary(n, 0.4, make);
+    const TernaryTruthTable impl = random_ternary(n, 0.0, make);
+    const double exact = exact_error_rate(impl, spec);
+    int covered = 0;
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      Rng rng(seed);
+      const SampledRate r = sampled_error_rate_ci(impl, spec, 1, 4000, rng);
+      if (exact >= r.ci_low && exact <= r.ci_high) ++covered;
+    }
+    EXPECT_GE(covered, 85) << "n=" << n;
+  }
+}
+
+TEST(SampledCi, MultiOutputCombinesEstimates) {
+  Rng make(7204);
+  IncompleteSpec spec("s", 7, 3);
+  for (auto& f : spec.outputs()) f = random_ternary(7, 0.4, make);
+  IncompleteSpec impl("i", 7, 3);
+  for (auto& f : impl.outputs()) f = random_ternary(7, 0.0, make);
+  const double exact = exact_error_rate(impl, spec);
+
+  Rng rng(11);
+  const SampledRate r =
+      reliability::default_fault_model().sampled_rate(impl, spec, 6000, rng);
+  // Draws are spent per output.
+  EXPECT_GE(r.samples, 3u * 6000u);
+  // The combined interval should be in the right neighborhood of the mean
+  // rate (wide tolerance: this is a smoke bound, coverage is tested above).
+  EXPECT_NEAR(r.rate, exact, 0.1);
+  EXPECT_LE(r.ci_low, r.rate);
+  EXPECT_GE(r.ci_high, r.rate);
+}
+
+TEST(SampledCi, TightensWithMoreSamples) {
+  Rng make(7205);
+  const TernaryTruthTable spec = random_ternary(10, 0.5, make);
+  const TernaryTruthTable impl = random_ternary(10, 0.0, make);
+  Rng rng_small(5), rng_big(5);
+  const SampledRate small =
+      sampled_error_rate_ci(impl, spec, 1, 500, rng_small);
+  const SampledRate big =
+      sampled_error_rate_ci(impl, spec, 1, 50000, rng_big);
+  EXPECT_LT(big.half_width(), small.half_width());
 }
 
 }  // namespace

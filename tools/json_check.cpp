@@ -61,10 +61,10 @@ const rdc::obs::JsonValue* lookup(const rdc::obs::JsonValue& doc,
 
 /// Required top-level keys per known schema tag; nullptr-terminated.
 const char* const* schema_required_keys(const std::string& schema) {
-  static const char* const kBench[] = {"suite",    "generator", "git_rev",
-                                       "date",     "threads",   "compiler",
-                                       "simd",     "wall_ms",   "rows",
-                                       "counters", nullptr};
+  static const char* const kBench[] = {"suite",   "generator", "git_rev",
+                                       "date",    "threads",   "compiler",
+                                       "wall_ms", "rows",      "counters",
+                                       nullptr};
   static const char* const kFlow[] = {"total_ms", "phases", "metrics",
                                       nullptr};
   static const char* const kMetrics[] = {"seq",      "ts",

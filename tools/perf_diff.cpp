@@ -7,12 +7,12 @@
 // Usage: rdc_perf_diff <baseline.json> <candidate.json> [--threshold PCT]
 // Exit:  0 no regression, 1 regression found, 2 unusable input/usage.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common/parse_number.hpp"
 #include "obs/perf_diff.hpp"
 
 namespace {
@@ -43,9 +43,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threshold") == 0) {
       if (i + 1 >= argc) return usage(argv[0]);
-      char* end = nullptr;
-      options.threshold_pct = std::strtod(argv[++i], &end);
-      if (end == nullptr || *end != '\0' || options.threshold_pct < 0.0) {
+      if (!rdc::parse_number(argv[++i], options.threshold_pct) ||
+          options.threshold_pct < 0.0) {
         std::fprintf(stderr, "rdc_perf_diff: bad threshold '%s'\n", argv[i]);
         return 2;
       }

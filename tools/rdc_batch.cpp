@@ -18,12 +18,12 @@
 // interrupts a chaos batch mid-flight and asserts the resumed report
 // matches an uninterrupted run.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "exec/shutdown.hpp"
 #include "flow/batch_supervisor.hpp"
 #include "obs/events.hpp"
@@ -99,6 +99,12 @@ bool parse_args(int argc, char** argv, Args& args) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    const auto number = [&](auto& slot) {
+      const char* v = next();
+      if (v != nullptr && parse_number(v, slot)) return true;
+      std::fprintf(stderr, "rdc_batch: bad value for %s\n", a.c_str());
+      return false;
+    };
     if (a == "--pipeline") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -114,33 +120,19 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (a == "--resume") {
       args.resume = true;
     } else if (a == "--retries") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.retries = std::atoi(v);
+      if (!number(args.retries)) return false;
     } else if (a == "--backoff-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.backoff_ms = std::atof(v);
+      if (!number(args.backoff_ms)) return false;
     } else if (a == "--deadline-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.deadline_ms = std::atof(v);
+      if (!number(args.deadline_ms)) return false;
     } else if (a == "--budget-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.budget_ms = std::atof(v);
+      if (!number(args.budget_ms)) return false;
     } else if (a == "--rss-mb") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.rss_mb = std::atof(v);
+      if (!number(args.rss_mb)) return false;
     } else if (a == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.jobs = std::atoi(v);
+      if (!number(args.jobs)) return false;
     } else if (a == "--stop-after") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args.stop_after = std::atol(v);
+      if (!number(args.stop_after)) return false;
     } else if (!a.empty() && a[0] != '-') {
       args.inputs.push_back(a);
     } else {

@@ -19,7 +19,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -27,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "obs/report.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
@@ -90,6 +90,12 @@ bool parse_args(int argc, char** argv, Args& args) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    const auto number = [&](auto& slot) {
+      const char* v = next();
+      if (v != nullptr && parse_number(v, slot)) return true;
+      std::fprintf(stderr, "rdcsyn_client: bad value for %s\n", a.c_str());
+      return false;
+    };
     const char* v = nullptr;
     if (a == "--socket" && (v = next()) != nullptr) {
       args.socket = v;
@@ -97,16 +103,16 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.pipeline = v;
     } else if (a == "--json" && (v = next()) != nullptr) {
       args.json = v;
-    } else if (a == "--wait-ms" && (v = next()) != nullptr) {
-      args.wait_ms = std::atof(v);
-    } else if (a == "--deadline-ms" && (v = next()) != nullptr) {
-      args.deadline_ms = static_cast<std::uint32_t>(std::atol(v));
-    } else if (a == "--retries" && (v = next()) != nullptr) {
-      args.retries = std::atoi(v);
-    } else if (a == "--requests" && (v = next()) != nullptr) {
-      args.requests = std::atol(v);
-    } else if (a == "--concurrency" && (v = next()) != nullptr) {
-      args.concurrency = std::atol(v);
+    } else if (a == "--wait-ms") {
+      if (!number(args.wait_ms)) return false;
+    } else if (a == "--deadline-ms") {
+      if (!number(args.deadline_ms)) return false;
+    } else if (a == "--retries") {
+      if (!number(args.retries)) return false;
+    } else if (a == "--requests") {
+      if (!number(args.requests)) return false;
+    } else if (a == "--concurrency") {
+      if (!number(args.concurrency)) return false;
     } else if (a == "--no-cache") {
       args.no_cache = true;
     } else if (!a.empty() && a[0] != '-') {

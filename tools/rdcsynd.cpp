@@ -16,9 +16,9 @@
 // counters and gauges (queue depth, inflight, connections, cache bytes);
 // RDC_EVENTS logs the serve.drain record.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/parse_number.hpp"
 #include "exec/shutdown.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
@@ -67,25 +67,31 @@ int main(int argc, char** argv) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    const auto number = [&](auto& slot) {
+      const char* v = next();
+      if (v != nullptr && parse_number(v, slot)) return true;
+      std::fprintf(stderr, "rdcsynd: bad value for %s\n", a.c_str());
+      return false;
+    };
     const char* v = nullptr;
     if (a == "--socket" && (v = next()) != nullptr) {
       options.socket_path = v;
-    } else if (a == "--threads" && (v = next()) != nullptr) {
-      options.executor_threads = std::atoi(v);
-    } else if (a == "--queue" && (v = next()) != nullptr) {
-      options.max_queue_depth = static_cast<std::size_t>(std::atol(v));
-    } else if (a == "--max-rss-mb" && (v = next()) != nullptr) {
-      max_rss_mb = std::atof(v);
-    } else if (a == "--deadline-ms" && (v = next()) != nullptr) {
-      options.default_deadline_ms = std::atof(v);
-    } else if (a == "--io-timeout-ms" && (v = next()) != nullptr) {
-      options.io_timeout_ms = std::atof(v);
-    } else if (a == "--drain-ms" && (v = next()) != nullptr) {
-      options.drain_deadline_ms = std::atof(v);
-    } else if (a == "--cache-mb" && (v = next()) != nullptr) {
-      cache_mb = std::atof(v);
-    } else if (a == "--max-frame-mb" && (v = next()) != nullptr) {
-      max_frame_mb = std::atof(v);
+    } else if (a == "--threads") {
+      if (!number(options.executor_threads)) return usage();
+    } else if (a == "--queue") {
+      if (!number(options.max_queue_depth)) return usage();
+    } else if (a == "--max-rss-mb") {
+      if (!number(max_rss_mb)) return usage();
+    } else if (a == "--deadline-ms") {
+      if (!number(options.default_deadline_ms)) return usage();
+    } else if (a == "--io-timeout-ms") {
+      if (!number(options.io_timeout_ms)) return usage();
+    } else if (a == "--drain-ms") {
+      if (!number(options.drain_deadline_ms)) return usage();
+    } else if (a == "--cache-mb") {
+      if (!number(cache_mb)) return usage();
+    } else if (a == "--max-frame-mb") {
+      if (!number(max_frame_mb)) return usage();
     } else {
       std::fprintf(stderr, "rdcsynd: unknown argument %s\n", a.c_str());
       return usage();
