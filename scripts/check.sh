@@ -7,7 +7,8 @@
 # (rdcsyn_cli --pipeline
 # with a nondefault spec plus a batch fan-out over the examples/ fixtures,
 # reports validated with rdc_json_check), and the §10 fault-injection
-# smoke: a
+# smoke (after a byte-identity gate: a fresh bench_cross_model run must
+# reproduce the rows and meta of the committed BENCH_faultmodels.json): a
 # bench_table1 run over a circuit list containing a malformed BLIF and a
 # deadline-busting circuit, plus an RDC_FAULT espresso failure — both must
 # complete with error rows, not abort. A telemetry smoke validates the
@@ -173,6 +174,19 @@ if [ "$key_bitflip" = "$key_stuckat" ]; then
   exit 1
 fi
 
+# Byte-identity gate: a fresh cross-model run must reproduce the committed
+# BENCH_faultmodels.json rows and meta exactly (timings and host fields
+# aside), so a kernel rewrite that moves any reported figure fails here.
+./build/bench/bench_cross_model --json "$smoke_dir/faultmodels.json" > /dev/null
+python3 - BENCH_faultmodels.json "$smoke_dir/faultmodels.json" <<'EOF'
+import json, sys
+committed, fresh = (json.load(open(path)) for path in sys.argv[1:3])
+for key in ("rows", "meta"):
+    assert fresh[key] == committed[key], (
+        f"bench_cross_model {key} differ from BENCH_faultmodels.json:\n"
+        f"committed: {committed[key]}\nfresh:     {fresh[key]}")
+EOF
+
 echo
 echo "== §10 fault-isolation smoke =="
 # Run A: one healthy circuit, one malformed BLIF, one circuit engineered to
@@ -193,18 +207,20 @@ cat > "$smoke_dir/broken.blif" <<'EOF'
 .end
 EOF
 python3 - "$smoke_dir/slow.pla" <<'EOF'
-# 16-input PLA with a dense pseudo-random on/dc structure: ESPRESSO takes
-# well over the smoke deadline on it, deterministically.
+# 16-input, 8-output PLA with a dense pseudo-random on/dc structure: each
+# output takes ESPRESSO about a second, so the circuit stays well past the
+# smoke deadline and the 1-s / 0.5-s SIGTERMs below, deterministically.
 import sys
 path = sys.argv[1]
-n = 16
+n, outputs = 16, 8
 with open(path, "w") as f:
-    f.write(f".i {n}\n.o 1\n.type fd\n")
+    f.write(f".i {n}\n.o {outputs}\n.type fd\n")
     state = 0x9E3779B97F4A7C15
     for m in range(0, 1 << n, 3):
         state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        bits = format(m, f"0{n}b")
-        f.write(bits + (" 1\n" if state & 2 else " -\n"))
+        outs = "".join("1" if (state >> (32 + o)) & 1 else "-"
+                       for o in range(outputs))
+        f.write(format(m, f"0{n}b") + " " + outs + "\n")
     f.write(".e\n")
 EOF
 cat > "$smoke_dir/circuits.txt" <<EOF
@@ -226,11 +242,13 @@ for expect in '"status": "OK"' '"status": "PARSE_ERROR"' \
     exit 1
   }
 done
-grep -q "^espresso.expand " "$smoke_dir/faults_summary.txt" || {
-  echo "fault smoke: trace summary lacks the espresso.expand span" >&2
-  cat "$smoke_dir/faults_summary.txt" >&2
-  exit 1
-}
+for span in espresso.expand espresso.irredundant espresso.reduce; do
+  grep -q "^$span " "$smoke_dir/faults_summary.txt" || {
+    echo "fault smoke: trace summary lacks the $span span" >&2
+    cat "$smoke_dir/faults_summary.txt" >&2
+    exit 1
+  }
+done
 
 # Run B: deterministic fault injection. Two healthy single-output circuits,
 # RDC_FAULT=espresso:2 under one thread: circuit 1 minimizes fine, circuit

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "espresso/complement.hpp"
 #include "espresso/expand.hpp"
 #include "espresso/irredundant.hpp"
 #include "espresso/reduce.hpp"
@@ -29,39 +28,39 @@ Cost cost_of(const Cover& cover) {
 
 }  // namespace
 
-EspressoResult espresso_bounded(const Cover& on, const Cover& dc,
-                                const Cover& off,
+EspressoResult minimize_bounded(const TernaryTruthTable& f,
                                 const EspressoOptions& options) {
   RDC_SPAN("espresso.run");
   obs::count(obs::Counter::kEspressoCalls);
   exec::fault_point("espresso");
+  // The passes answer every containment question on f's own ON/DC/OFF
+  // bitsets; the only cover is the ON set, one cube per minterm (distinct,
+  // so free of single-cube containment).
   EspressoResult result;
-  Cover current = on;
-  current.remove_single_cube_contained();
-  if (current.empty_cover()) {
-    obs::observe(obs::Histo::kEspressoIterations, 0);
-    result.cover = current;
-    return result;
-  }
+  Cover current = Cover::from_phase(f, Phase::kOne);
   // From here on `result.cover` is only ever replaced by a *completed*
   // pass's cover, so a mid-pass budget trip salvages a valid (if less
   // minimized) cover of the on-set.
   result.cover = current;
+  if (current.empty_cover()) {
+    obs::observe(obs::Histo::kEspressoIterations, 0);
+    return result;
+  }
 
   unsigned iterations = 0;
   try {
     exec::checkpoint();
-    current = expand(current, off);
-    current = irredundant(current, dc);
+    current = expand(current, f);
+    current = irredundant(current, f);
     Cost best = cost_of(current);
     result.cover = current;
 
     for (unsigned iter = 0; iter < options.max_iterations; ++iter) {
       exec::checkpoint();
       ++iterations;
-      current = reduce(current, dc);
-      current = expand(current, off);
-      current = irredundant(current, dc);
+      current = reduce(current, f);
+      current = expand(current, f);
+      current = irredundant(current, f);
       const Cost c = cost_of(current);
       if (c < best) {
         best = c;
@@ -79,30 +78,6 @@ EspressoResult espresso_bounded(const Cover& on, const Cover& dc,
   obs::count(obs::Counter::kEspressoIterations, iterations);
   obs::observe(obs::Histo::kEspressoIterations, iterations);
   return result;
-}
-
-Cover espresso(const Cover& on, const Cover& dc, const Cover& off,
-               const EspressoOptions& options) {
-  EspressoResult result = espresso_bounded(on, dc, off, options);
-  if (result.partial) throw exec::StatusError(std::move(result.status));
-  return std::move(result.cover);
-}
-
-EspressoResult minimize_bounded(const TernaryTruthTable& f,
-                                const EspressoOptions& options) {
-  const Cover on = Cover::from_phase(f, Phase::kOne);
-  const Cover dc = Cover::from_phase(f, Phase::kDc);
-
-  // The off-set is known exactly; complementing on ∪ dc gives a compact
-  // blocking cover (far fewer cubes than one per off minterm).
-  Cover on_dc = on;
-  for (const Cube& c : dc.cubes()) on_dc.add(c);
-  const Cover off = [&] {
-    RDC_SPAN("espresso.complement");
-    return complement(on_dc);
-  }();
-
-  return espresso_bounded(on, dc, off, options);
 }
 
 Cover minimize(const TernaryTruthTable& f, const EspressoOptions& options) {
@@ -125,8 +100,16 @@ Cover conventional_assign(TernaryTruthTable& f,
                           const EspressoOptions& options) {
   const Cover cover = minimize(f, options);
   obs::count(obs::Counter::kDcConventionalAssigned, f.dc_count());
-  for (std::uint32_t m : f.dc_minterms())
-    f.set_phase(m, cover.covers_minterm(m) ? Phase::kOne : Phase::kZero);
+  // Paint the cover onto the DC set: covered DC minterms become 1, the
+  // rest 0.
+  for (const Cube& c : cover.cubes())
+    for_each_cube_word(c, f.num_inputs(),
+                       [&](std::size_t w, std::uint64_t lanes) {
+                         f.set_phase_word(w, lanes & f.dc_bits().word(w),
+                                          Phase::kOne);
+                       });
+  for (std::size_t w = 0; w < f.dc_bits().num_words(); ++w)
+    f.set_phase_word(w, f.dc_bits().word(w), Phase::kZero);
   return cover;
 }
 
@@ -135,10 +118,15 @@ void conventional_assign(IncompleteSpec& spec) {
 }
 
 bool cover_is_valid_for(const Cover& cover, const TernaryTruthTable& f) {
-  for (std::uint32_t m = 0; m < f.size(); ++m) {
-    const bool covered = cover.covers_minterm(m);
-    if (f.is_on(m) && !covered) return false;
-    if (f.is_off(m) && covered) return false;
+  if (cover.num_inputs() != f.num_inputs()) return false;
+  const TernaryTruthTable painted = cover.to_truth_table();
+  const BitVec& covered = painted.on_bits();
+  const BitVec& on = f.on_bits();
+  const BitVec& dc = f.dc_bits();
+  for (std::size_t w = 0; w < on.num_words(); ++w) {
+    if ((on.word(w) & ~covered.word(w)) != 0) return false;  // ON left out
+    if ((covered.word(w) & ~(on.word(w) | dc.word(w))) != 0)
+      return false;  // OFF covered
   }
   return true;
 }

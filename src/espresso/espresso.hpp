@@ -31,26 +31,16 @@ struct EspressoResult {
   bool partial = false;
 };
 
-/// Budget-aware minimization: polls the installed exec budget between
-/// passes (and, through the pass kernels, per cube) and salvages the best
-/// complete cover seen so far instead of throwing on a budget trip.
-/// Non-budget exceptions still propagate.
-EspressoResult espresso_bounded(const Cover& on, const Cover& dc,
-                                const Cover& off,
-                                const EspressoOptions& options = {});
-
-/// Minimizes an ON cover against a DC cover and an OFF cover. `off` must be
-/// the complement of on ∪ dc. Throws StatusError if the installed exec
-/// budget trips (use espresso_bounded to get the partial cover instead).
-Cover espresso(const Cover& on, const Cover& dc, const Cover& off,
-               const EspressoOptions& options = {});
-
-/// Budget-aware form of minimize(): never throws on a budget trip, returns
-/// the best valid cover found with status/partial set.
+/// Budget-aware form of minimize(): polls the installed exec budget
+/// between passes (and, through the pass kernels, per cube) and salvages
+/// the best complete cover seen so far instead of throwing on a budget
+/// trip. Non-budget exceptions still propagate.
 EspressoResult minimize_bounded(const TernaryTruthTable& f,
                                 const EspressoOptions& options = {});
 
 /// Minimizes a ternary truth table (ON minterms against its DC set).
+/// Throws StatusError if the installed exec budget trips (use
+/// minimize_bounded to get the partial cover instead).
 Cover minimize(const TernaryTruthTable& f,
                const EspressoOptions& options = {});
 

@@ -11,23 +11,19 @@
 
 namespace rdc {
 
-Cube expand_cube(const Cube& c, const Cover& off, const Cover& peers) {
-  const unsigned n = off.num_inputs();
+Cube expand_cube(const Cube& c, const TernaryTruthTable& f,
+                 const Cover& peers) {
+  const unsigned n = f.num_inputs();
   const std::uint32_t all = (1u << n) - 1;
+  const BitVec& on = f.on_bits();
+  const BitVec& dc = f.dc_bits();
+  const auto meets_off = [&](const Cube& q) {
+    return for_each_cube_word(q, n, [&](std::size_t w, std::uint64_t lanes) {
+      return (lanes & ~(on.word(w) | dc.word(w))) != 0;
+    });
+  };
+  if (meets_off(c)) return c;  // every raise would still meet the off-set
 
-  // Blocking matrix: per nonempty off-cube, the variables where c conflicts
-  // with it. Raising j keeps the cube off that off-cube iff its row is not
-  // exactly {j}; an empty row means c already meets the off-set, so no
-  // raise is ever feasible.
-  std::vector<std::uint32_t> blocking;
-  blocking.reserve(off.size());
-  for (const Cube& q : off.cubes()) {
-    if (q.empty(n)) continue;
-    const Cube x = c.intersect(q);
-    const std::uint32_t row = ~(x.mask0 | x.mask1) & all;
-    if (row == 0) return c;
-    blocking.push_back(row);
-  }
   // Covering matrix: per peer c does not contain yet, the variables where
   // it fails to. Raising j newly contains the peers whose row is exactly
   // {j}: that count is the gain of j.
@@ -38,29 +34,23 @@ Cube expand_cube(const Cube& c, const Cover& off, const Cover& peers) {
     if (row != 0) covering.push_back(row);
   }
 
-  // `raisable` holds the literals not yet known to be blocked. A blocked
-  // variable stays blocked (its singleton row never changes), so a row
-  // naming a non-raisable variable can neither block nor gain a raisable
-  // one and is dropped.
+  // Raising j adds the half-cube with j's literal flipped; it is feasible
+  // iff that half holds no OFF minterm. A blocked variable stays blocked
+  // (the cube only grows), so a covering row naming a non-raisable
+  // variable can never gain and is dropped.
   Cube current = c;
   std::uint32_t raisable = (c.mask0 ^ c.mask1) & all;
   std::uint32_t raised = 0;
   while (true) {
-    std::size_t kept = 0;
-    for (std::uint32_t row : blocking) {
-      row &= ~raised;
-      if ((row & ~raisable) != 0) continue;
-      if (std::has_single_bit(row)) {
-        raisable &= ~row;
-        continue;
-      }
-      blocking[kept++] = row;
+    for (std::uint32_t rest = raisable; rest != 0; rest &= rest - 1) {
+      const std::uint32_t bit = 1u << std::countr_zero(rest);
+      if (meets_off(Cube{current.mask0 ^ bit, current.mask1 ^ bit}))
+        raisable &= ~bit;
     }
-    blocking.resize(kept);
     if (raisable == 0) break;
 
     std::array<std::uint32_t, 32> gain{};
-    kept = 0;
+    std::size_t kept = 0;
     for (std::uint32_t row : covering) {
       row &= ~raised;
       if (row == 0 || (row & ~raisable) != 0) continue;
@@ -83,7 +73,7 @@ Cube expand_cube(const Cube& c, const Cover& off, const Cover& peers) {
   return current;
 }
 
-Cover expand(const Cover& on, const Cover& off) {
+Cover expand(const Cover& on, const TernaryTruthTable& f) {
   RDC_SPAN("espresso.expand");
   const unsigned n = on.num_inputs();
 
@@ -101,7 +91,7 @@ Cover expand(const Cover& on, const Cover& off) {
   for (std::size_t idx : order) {
     if (covered[idx]) continue;
     exec::checkpoint();  // per-cube budget poll (DESIGN.md §10)
-    const Cube prime = expand_cube(on.cube(idx), off, on);
+    const Cube prime = expand_cube(on.cube(idx), f, on);
     result.add(prime);
     for (std::size_t i = 0; i < on.size(); ++i)
       if (!covered[i] && prime.contains(on.cube(i))) covered[i] = true;

@@ -3,17 +3,19 @@
 #pragma once
 
 #include "pla/cover.hpp"
+#include "tt/ternary_function.hpp"
 
 namespace rdc {
 
-/// Expands every cube of `on` against the blocking cover `off` (which must
-/// be disjoint from the ON- and DC-sets). Returns a prime cover of the same
-/// function, usually with fewer cubes.
-Cover expand(const Cover& on, const Cover& off);
+/// Expands every cube of `on` against the OFF set of `f`. Returns a prime
+/// cover of the same function, usually with fewer cubes.
+Cover expand(const Cover& on, const TernaryTruthTable& f);
 
-/// Expands a single cube to a prime implicant against `off`, greedily
-/// raising one variable at a time (preferring raises that cover the most
-/// not-yet-covered cubes of `peers`).
-Cube expand_cube(const Cube& c, const Cover& off, const Cover& peers);
+/// Expands a single cube to a prime implicant against the OFF set of `f`,
+/// greedily raising one variable at a time (preferring raises that cover
+/// the most not-yet-covered cubes of `peers`). A cube that already holds
+/// an OFF minterm is returned unchanged.
+Cube expand_cube(const Cube& c, const TernaryTruthTable& f,
+                 const Cover& peers);
 
 }  // namespace rdc

@@ -3,12 +3,13 @@
 #pragma once
 
 #include "pla/cover.hpp"
+#include "tt/ternary_function.hpp"
 
 namespace rdc {
 
 /// Returns an irredundant subset of `on` that still covers `on` relative to
-/// the DC cover `dc`: no remaining cube can be dropped without uncovering
-/// part of the on-set.
-Cover irredundant(const Cover& on, const Cover& dc);
+/// the DC set of `f`: no remaining cube can be dropped without uncovering a
+/// minterm outside the DC set.
+Cover irredundant(const Cover& on, const TernaryTruthTable& f);
 
 }  // namespace rdc

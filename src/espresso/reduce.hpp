@@ -4,15 +4,12 @@
 #pragma once
 
 #include "pla/cover.hpp"
+#include "tt/ternary_function.hpp"
 
 namespace rdc {
 
-/// Returns the reduced cover (same function relative to `dc`). Cubes that
-/// become entirely redundant are dropped.
-Cover reduce(const Cover& on, const Cover& dc);
-
-/// Smallest single cube containing every cube of `cover`; the empty cube
-/// (all-zero masks) if the cover is empty.
-Cube supercube(const Cover& cover);
+/// Returns the reduced cover (same function relative to the DC set of
+/// `f`). Cubes that become entirely redundant are dropped.
+Cover reduce(const Cover& on, const TernaryTruthTable& f);
 
 }  // namespace rdc

@@ -32,7 +32,7 @@ enum class Counter : unsigned {
   kDcIncrementalAssigned,   ///< DCs assigned by ranking_assign_incremental
   kDcLcfAssigned,           ///< DCs assigned by lcf_assign
   kDcConventionalAssigned,  ///< DCs assigned by conventional_assign
-  kEspressoCalls,           ///< espresso() invocations
+  kEspressoCalls,           ///< minimize_bounded() invocations
   kEspressoIterations,      ///< reduce/expand/irredundant loop iterations
   kAigAndsBuilt,            ///< AND nodes in flow-constructed AIGs
   kMapRuns,                 ///< map_aig invocations
@@ -63,7 +63,7 @@ const char* counter_name(Counter c);
 bool counter_is_deterministic(Counter c);
 
 enum class Histo : unsigned {
-  kEspressoIterations,  ///< loop iterations per espresso() call
+  kEspressoIterations,  ///< loop iterations per minimize_bounded() call
   kPoolTasksPerJob,     ///< indices per parallel_for invocation
   kCount,
 };

@@ -1,7 +1,5 @@
 #include "pla/cover.hpp"
 
-#include <cassert>
-
 namespace rdc {
 
 std::uint64_t Cover::literal_count() const {
@@ -16,16 +14,12 @@ bool Cover::covers_minterm(std::uint32_t m) const {
   return false;
 }
 
-bool Cover::single_cube_contains(const Cube& target) const {
-  for (const Cube& c : cubes_)
-    if (c.contains(target)) return true;
-  return false;
-}
-
 TernaryTruthTable Cover::to_truth_table() const {
   TernaryTruthTable tt(num_inputs_);
-  for (std::uint32_t m = 0; m < tt.size(); ++m)
-    if (covers_minterm(m)) tt.set_phase(m, Phase::kOne);
+  for (const Cube& c : cubes_)
+    for_each_cube_word(c, num_inputs_, [&](std::size_t w, std::uint64_t lanes) {
+      tt.set_phase_word(w, lanes, Phase::kOne);
+    });
   return tt;
 }
 
@@ -34,14 +28,6 @@ Cover Cover::from_phase(const TernaryTruthTable& f, Phase phase) {
   for (std::uint32_t m = 0; m < f.size(); ++m)
     if (f.phase(m) == phase) cover.add(Cube::minterm(m, f.num_inputs()));
   return cover;
-}
-
-Cover Cover::cofactor(const Cube& c) const {
-  // Variables fixed by c get raised to don't-care in the surviving cubes;
-  // cubes that conflict with c on a fixed variable drop out.
-  Cover result(num_inputs_);
-  for (const Cube& q : cubes_) result.add_cofactor(q, c);
-  return result;
 }
 
 void Cover::remove_single_cube_contained() {

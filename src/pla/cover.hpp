@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "pla/cube.hpp"
@@ -36,10 +35,6 @@ class Cover {
   /// True iff some cube contains the minterm.
   bool covers_minterm(std::uint32_t m) const;
 
-  /// True iff some cube contains cube `c` entirely (single-cube containment;
-  /// used as a cheap filter — full containment checks go through espresso).
-  bool single_cube_contains(const Cube& c) const;
-
   /// Builds the set of minterms covered, as an on-set-only truth table
   /// (off elsewhere). Requires num_inputs <= TernaryTruthTable::kMaxInputs.
   TernaryTruthTable to_truth_table() const;
@@ -47,19 +42,6 @@ class Cover {
   /// Cover consisting of one minterm cube per on-set minterm of `f`
   /// (`phase` selects which set to enumerate).
   static Cover from_phase(const TernaryTruthTable& f, Phase phase);
-
-  /// Cofactor of the cover with respect to cube `c` (Shannon/generalized):
-  /// keeps cubes intersecting c, raising variables fixed by c.
-  Cover cofactor(const Cube& c) const;
-
-  /// Appends the cofactor of cube `q` with respect to `c` (q with the
-  /// variables c fixes raised) if q intersects c: one cube of cofactor(c),
-  /// for building a cofactor from a filtered set of cubes in one pass.
-  void add_cofactor(const Cube& q, const Cube& c) {
-    if (!q.intersects(c, num_inputs_)) return;
-    const std::uint32_t fixed = c.mask0 ^ c.mask1;
-    cubes_.push_back(Cube{q.mask0 | fixed, q.mask1 | fixed});
-  }
 
   /// Removes cubes contained in another cube of the cover (single-cube
   /// containment minimization). Stable order of survivors.

@@ -6,12 +6,16 @@
 //   mask0=0, mask1=1  -> literal   x_j
 //   mask0=1, mask1=1  -> variable absent (don't care)
 //   mask0=0, mask1=0  -> empty cube (contradiction)
-// This is the representation used by ESPRESSO and makes intersection,
-// containment and cofactoring pure bit arithmetic.
+// This is the representation used by ESPRESSO and makes intersection and
+// containment pure bit arithmetic; for_each_cube_word maps a cube onto the
+// words of a 2^n-minterm bitset.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/bits.hpp"
 
@@ -103,5 +107,38 @@ struct Cube {
   /// Espresso-style text, e.g. "1-0" (variable 0 first).
   std::string to_string(unsigned n) const;
 };
+
+/// Calls `fn(w, lanes)` for every word `w` of a 2^n-minterm bitset that
+/// cube `c` meets, in increasing order; bit b of `lanes` marks minterm
+/// 64w + b of the cube. Inputs below 6 pick lanes within a word (the
+/// exhaustive input patterns), inputs from 6 up pick words (bit i - 6 of
+/// the word index), so only the words the cube meets are visited. If `fn`
+/// returns bool, the walk stops at the first true and returns true.
+template <typename Fn>
+bool for_each_cube_word(const Cube& c, unsigned n, Fn&& fn) {
+  if (c.empty(n)) return false;
+  std::uint64_t lanes = n < 6 ? (1ull << (1u << n)) - 1 : ~0ull;
+  for (unsigned j = 0; j < std::min(n, 6u); ++j) {
+    const std::uint64_t pattern = exhaustive_input_word(j, 0);
+    if (!test_bit(c.mask1, j)) lanes &= ~pattern;
+    if (!test_bit(c.mask0, j)) lanes &= pattern;
+  }
+  const std::uint32_t word_bits = n > 6 ? (1u << (n - 6)) - 1 : 0;
+  const std::uint32_t free_words = ((c.mask0 & c.mask1) >> 6) & word_bits;
+  const std::uint32_t one_words = ((c.mask1 & ~c.mask0) >> 6) & word_bits;
+  std::uint32_t sub = 0;  // walks every subset of free_words
+  do {
+    const std::size_t w = one_words | sub;
+    if constexpr (std::is_same_v<std::invoke_result_t<Fn&, std::size_t,
+                                                      std::uint64_t>,
+                                 bool>) {
+      if (fn(w, lanes)) return true;
+    } else {
+      fn(w, lanes);
+    }
+    sub = (sub - free_words) & free_words;
+  } while (sub != 0);
+  return false;
+}
 
 }  // namespace rdc

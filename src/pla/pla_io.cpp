@@ -1,6 +1,5 @@
 #include "pla/pla_io.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -142,27 +141,12 @@ RawPla read_raw(std::istream& in) {
   return pla;
 }
 
-/// Sets every minterm of cube `c` to phase `p`, 64 minterms per word:
-/// inputs below 6 pick lanes within a word (the exhaustive input
-/// patterns), inputs from 6 up pick words (bit i - 6 of the word index),
-/// so only the words the cube meets are touched.
+/// Sets every minterm of cube `c` to phase `p`, 64 minterms per word.
 void paint_cube(TernaryTruthTable& tt, const Cube& c, Phase p) {
-  const unsigned n = tt.num_inputs();
-  if (c.empty(n)) return;
-  std::uint64_t lanes = ~0ull;
-  for (unsigned j = 0; j < std::min(n, 6u); ++j) {
-    const std::uint64_t pattern = exhaustive_input_word(j, 0);
-    if (!test_bit(c.mask1, j)) lanes &= ~pattern;
-    if (!test_bit(c.mask0, j)) lanes &= pattern;
-  }
-  const std::uint32_t word_bits = n > 6 ? (1u << (n - 6)) - 1 : 0;
-  const std::uint32_t free_words = ((c.mask0 & c.mask1) >> 6) & word_bits;
-  const std::uint32_t one_words = ((c.mask1 & ~c.mask0) >> 6) & word_bits;
-  std::uint32_t sub = 0;  // walks every subset of free_words
-  do {
-    tt.set_phase_word(one_words | sub, lanes, p);
-    sub = (sub - free_words) & free_words;
-  } while (sub != 0);
+  for_each_cube_word(c, tt.num_inputs(),
+                     [&](std::size_t w, std::uint64_t lanes) {
+                       tt.set_phase_word(w, lanes, p);
+                     });
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "reliability/complexity.hpp"
 
 namespace rdc {
@@ -147,6 +148,7 @@ TernaryTruthTable generate_function(const SyntheticOptions& options,
 
 IncompleteSpec generate_spec(const std::string& name,
                              const SyntheticOptions& options, Rng& rng) {
+  RDC_SPAN("synthetic.generate");
   IncompleteSpec spec(name, options.num_inputs, options.num_outputs);
   for (unsigned o = 0; o < options.num_outputs; ++o)
     spec.output(o) = generate_function(options, rng);

@@ -46,20 +46,21 @@ TEST(BddCoverage, EvaluateComplementedEdges) {
 }
 
 TEST(ExpandCoverage, ExpandCubeStopsAtPrime) {
-  // off = {x0=0, x1=0}: the cube 11 can raise nothing.
-  Cover off(2);
-  off.add(Cube::parse("0-"));
-  off.add(Cube::parse("-0"));
-  const Cube prime = expand_cube(Cube::parse("11"), off, Cover(2));
+  // OFF = {x0=0} ∪ {x1=0}: the cube 11 can raise nothing.
+  TernaryTruthTable f(2);
+  f.set_phase(0b11, Phase::kOne);
+  const Cube prime = expand_cube(Cube::parse("11"), f, Cover(2));
   EXPECT_EQ(prime.to_string(2), "11");
 }
 
 TEST(ExpandCoverage, ExpandPrefersCoveringPeers) {
   // Expanding 000 against an empty off-set: any order reaches the full
   // cube; peers bias the first raise but the result is the same.
+  TernaryTruthTable f(3);
+  for (std::uint32_t m = 0; m < f.size(); ++m) f.set_phase(m, Phase::kOne);
   Cover peers(3);
   peers.add(Cube::parse("100"));
-  const Cube prime = expand_cube(Cube::parse("000"), Cover(3), peers);
+  const Cube prime = expand_cube(Cube::parse("000"), f, peers);
   EXPECT_EQ(prime.literal_count(3), 0u);
 }
 

@@ -1,7 +1,11 @@
-// Tests for the interchange formats: structural Verilog, BLIF and AIGER.
+// Tests for the interchange formats: structural Verilog (including the
+// emitted cell bodies, evaluated against the cell functions), BLIF and AIGER.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "aig/simulate.hpp"
 #include "common/rng.hpp"
@@ -9,6 +13,7 @@
 #include "io/aiger.hpp"
 #include "io/blif.hpp"
 #include "io/verilog.hpp"
+#include "mapper/cell_library.hpp"
 #include "mapper/tree_map.hpp"
 #include "sop/factor.hpp"
 
@@ -56,6 +61,105 @@ TEST(Verilog, OneInstancePerGate) {
        pos = v.find(".Y(", pos + 1))
     ++instances;
   EXPECT_EQ(instances, nl.gate_count());
+}
+
+/// Evaluates the cell-body subset of Verilog that write_verilog emits:
+/// pins A..D, the constants 1'b0/1'b1, parentheses, and the operators ~,
+/// &, ^, | (tightest first). Pin k carries bit k of `pattern`.
+class CellBodyEvaluator {
+ public:
+  CellBodyEvaluator(std::string text, unsigned pattern)
+      : text_(std::move(text)), pattern_(pattern) {}
+
+  bool evaluate() {
+    const bool value = parse_or();
+    skip_space();
+    EXPECT_EQ(pos_, text_.size()) << "trailing text in \"" << text_ << "\"";
+    return value;
+  }
+
+ private:
+  void skip_space() {
+    while (pos_ < text_.size() && text_[pos_] == ' ') ++pos_;
+  }
+  bool accept(char c) {
+    skip_space();
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+  bool parse_or() {
+    bool value = parse_xor();
+    while (accept('|')) value = parse_xor() || value;
+    return value;
+  }
+  bool parse_xor() {
+    bool value = parse_and();
+    while (accept('^')) value = parse_and() != value;
+    return value;
+  }
+  bool parse_and() {
+    bool value = parse_unary();
+    while (accept('&')) value = parse_unary() && value;
+    return value;
+  }
+  bool parse_unary() {
+    if (accept('~')) return !parse_unary();
+    if (accept('(')) {
+      const bool value = parse_or();
+      EXPECT_TRUE(accept(')')) << "unbalanced \"" << text_ << "\"";
+      return value;
+    }
+    skip_space();
+    if (text_.compare(pos_, 4, "1'b0") == 0 ||
+        text_.compare(pos_, 4, "1'b1") == 0) {
+      pos_ += 4;
+      return text_[pos_ - 1] == '1';
+    }
+    const char pin = pos_ < text_.size() ? text_[pos_++] : '?';
+    EXPECT_TRUE(pin >= 'A' && pin <= 'D')
+        << "unexpected '" << pin << "' in \"" << text_ << "\"";
+    return ((pattern_ >> (pin - 'A')) & 1) != 0;
+  }
+
+  std::string text_;
+  unsigned pattern_;
+  std::size_t pos_ = 0;
+};
+
+TEST(Verilog, CellBodiesMatchCellTruthTables) {
+  // One gate of every kind, written out; each emitted `assign Y = ...;`
+  // cell body must compute cell_truth_table(kind) on every input pattern.
+  const CellLibrary& lib = CellLibrary::generic70();
+  constexpr unsigned kKinds = static_cast<unsigned>(CellKind::kTie1) + 1;
+  Netlist nl(kMaxCellArity);
+  for (unsigned k = 0; k < kKinds; ++k) {
+    const auto kind = static_cast<CellKind>(k);
+    std::vector<std::uint32_t> fanins(cell_arity(kind));
+    for (std::uint32_t pin = 0; pin < fanins.size(); ++pin) fanins[pin] = pin;
+    nl.add_output(nl.add_gate(kind, std::move(fanins)));
+  }
+  const std::string v = to_verilog(nl, lib, "all_cells");
+
+  for (unsigned k = 0; k < kKinds; ++k) {
+    const auto kind = static_cast<CellKind>(k);
+    const std::string name = lib.cell(kind).name;
+    const std::size_t module = v.find("\nmodule " + name + " (");
+    ASSERT_NE(module, std::string::npos) << name;
+    const std::string assign = "assign Y = ";
+    const std::size_t begin = v.find(assign, module);
+    ASSERT_NE(begin, std::string::npos) << name;
+    const std::size_t end = v.find(";\n", begin);
+    ASSERT_LT(end, v.find("endmodule", begin)) << name;
+    const std::string body =
+        v.substr(begin + assign.size(), end - begin - assign.size());
+    const std::uint64_t table = cell_truth_table(kind);
+    for (unsigned m = 0; m < (1u << cell_arity(kind)); ++m)
+      EXPECT_EQ(CellBodyEvaluator(body, m).evaluate(), ((table >> m) & 1) != 0)
+          << name << " (\"" << body << "\") on pattern " << m;
+  }
 }
 
 TEST(Blif, StructureAndTables) {

@@ -18,6 +18,7 @@
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "synthetic/generator.hpp"
 
 namespace rdc::obs {
 namespace {
@@ -162,6 +163,22 @@ TEST(ObsTrace, SpansRecordedAcrossPoolWorkers) {
   // pooled dispatch itself was covered by exactly one span.
   EXPECT_EQ(tasks, 32);
   EXPECT_EQ(dispatches, 1);
+}
+
+TEST(ObsTrace, GenerateSpecEmitsSyntheticSpan) {
+  // Synthetic generation runs in every harness's setup; a traced call
+  // must show up under its own span.
+  ObsGuard guard;
+  set_trace_mode(TraceMode::kCapture);
+  SyntheticOptions options;
+  options.num_inputs = 4;
+  options.num_outputs = 2;
+  Rng rng(5);
+  generate_spec("traced", options, rng);
+  int generates = 0;
+  for (const SpanRecord& span : drain_spans())
+    if (std::string_view(span.name) == "synthetic.generate") ++generates;
+  EXPECT_EQ(generates, 1);
 }
 
 TEST(ObsTrace, DisabledRecordsNothing) {

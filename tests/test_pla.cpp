@@ -102,14 +102,41 @@ TEST(Cover, TruthTableRoundTrip) {
     EXPECT_EQ(back.covers_minterm(m), cover.covers_minterm(m));
 }
 
-TEST(Cover, Cofactor) {
-  Cover cover(3);
-  cover.add(Cube::parse("11-"));
-  cover.add(Cube::parse("0--"));
-  const Cover cof = cover.cofactor(Cube::parse("1--"));
-  // The 0-- cube drops out; 11- has x0 raised.
-  ASSERT_EQ(cof.size(), 1u);
-  EXPECT_EQ(cof.cube(0).to_string(3), "-1-");
+TEST(Cube, WordWalkMatchesMintermMembership) {
+  // for_each_cube_word against contains_minterm, minterm by minterm:
+  // n = 1..8 cross the lane/word boundary, 12 and 20 walk many free word
+  // bits. Words come in increasing order, and a bool visitor stops the
+  // walk at its first true.
+  Rng rng(83);
+  for (const unsigned n : {1u, 2u, 5u, 6u, 7u, 8u, 12u, 20u}) {
+    for (int trial = 0; trial < (n == 20 ? 6 : 60); ++trial) {
+      Cube c = Cube::full(n);
+      for (unsigned j = 0; j < n; ++j)
+        if (rng.flip(0.5)) c = c.restricted(j, rng.flip(0.5));
+      BitVec walked(num_minterms(n));
+      std::size_t last = 0;
+      std::size_t visits = 0;
+      for_each_cube_word(c, n, [&](std::size_t w, std::uint64_t lanes) {
+        EXPECT_TRUE(visits == 0 || w > last) << "n=" << n;
+        EXPECT_NE(lanes, 0u);
+        last = w;
+        ++visits;
+        for (unsigned b = 0; b < 64; ++b)
+          if ((lanes >> b) & 1) walked.set((w << 6) | b, true);
+      });
+      for (std::uint32_t m = 0; m < num_minterms(n); ++m)
+        ASSERT_EQ(walked.get(m), c.contains_minterm(m, n))
+            << "n=" << n << " cube " << c.to_string(n) << " minterm " << m;
+      std::size_t calls = 0;
+      EXPECT_TRUE(for_each_cube_word(c, n, [&](std::size_t, std::uint64_t) {
+        return ++calls == 1;
+      }));
+      EXPECT_EQ(calls, 1u);
+    }
+  }
+  // An empty cube meets no word.
+  EXPECT_FALSE(for_each_cube_word(
+      Cube{0, 0}, 3, [](std::size_t, std::uint64_t) { return true; }));
 }
 
 TEST(Cover, RemoveSingleCubeContained) {
