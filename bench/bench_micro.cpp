@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the computational kernels:
 // the word-parallel kernel layer (exact error rate, NeighborTable,
 // complexity factor — each against its scalar reference), ESPRESSO
-// minimization, DC-assignment passes, BDD construction and the mapper.
+// minimization, DC-assignment passes, BDD construction, the mapper and
+// the synthetic generator's annealer.
 // These track the cost of the building blocks the experiment harnesses are
 // made of; bench/run_bench_baseline.sh snapshots the kernel group into
 // BENCH_kernels.json so the perf trajectory is recorded across PRs.
@@ -22,6 +23,7 @@
 
 #include "aig/balance.hpp"
 #include "bdd/bdd_ops.hpp"
+#include "benchdata/suite.hpp"
 #include "common/rng.hpp"
 #include "espresso/espresso.hpp"
 #include "espresso/exact.hpp"
@@ -34,6 +36,7 @@
 #include "sat/equivalence.hpp"
 #include "sop/extract.hpp"
 #include "sop/factor.hpp"
+#include "synthetic/generator.hpp"
 #include "tt/neighbor_stats.hpp"
 
 namespace {
@@ -225,6 +228,26 @@ void BM_FullFlow(benchmark::State& state) {
     benchmark::DoNotOptimize(run_flow(spec, DcPolicy::kLcfThreshold));
 }
 BENCHMARK(BM_FullFlow)->Arg(6)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// One output at random1's Table-1 signature (%DC 68.6, E[C^f] .52, C^f
+// .49) with the suite's tolerance and iteration cap; every iteration
+// anneals from the same seed, so it repeats the same walk.
+void BM_GenerateFunction(benchmark::State& state) {
+  const SignalSplit split = solve_signal_split(68.6, 0.52);
+  SyntheticOptions options;
+  options.num_inputs = static_cast<unsigned>(state.range(0));
+  options.f0 = split.f0;
+  options.f1 = split.f1;
+  options.target_complexity = 0.49;
+  options.tolerance = 0.004;
+  options.max_iterations = 3000000;
+  for (auto _ : state) {
+    Rng rng(86);
+    benchmark::DoNotOptimize(generate_function(options, rng));
+  }
+}
+BENCHMARK(BM_GenerateFunction)->Arg(10)->Arg(12)->Arg(14)->Unit(
+    benchmark::kMillisecond);
 
 /// Console reporter that additionally keeps every Run record so main() can
 /// emit the rdc.bench.report.v1 document after the run. Aggregate runs are

@@ -57,6 +57,12 @@ grep -q "rdc::obs" "$smoke_dir/summary.txt" || {
   echo "RDC_TRACE=summary produced no summary table" >&2
   exit 1
 }
+# The harness's set-up is spec generation; its span must stay visible.
+grep -q "^synthetic.generate " "$smoke_dir/summary.txt" || {
+  echo "trace summary lacks the synthetic.generate span" >&2
+  cat "$smoke_dir/summary.txt" >&2
+  exit 1
+}
 
 # Replays every corpus file through a fuzz binary; with libFuzzer (clang)
 # also runs a short time-boxed fuzzing session per target.

@@ -1,37 +1,14 @@
 #include "synthetic/generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "reliability/complexity.hpp"
 
 namespace rdc {
-namespace {
-
-/// Ordered same-phase neighbor pairs contributed by minterm m (both
-/// directions), with the pair (a, b) between the two swap candidates
-/// counted exactly once per direction.
-std::uint64_t local_pairs(const TernaryTruthTable& f, std::uint32_t m) {
-  const Phase p = f.phase(m);
-  std::uint64_t count = 0;
-  for (unsigned j = 0; j < f.num_inputs(); ++j)
-    if (f.phase(flip_bit(m, j)) == p) ++count;
-  return 2 * count;
-}
-
-/// Joint contribution of two minterms, correcting the double count when
-/// they are adjacent.
-std::uint64_t joint_pairs(const TernaryTruthTable& f, std::uint32_t a,
-                          std::uint32_t b) {
-  std::uint64_t total = local_pairs(f, a) + local_pairs(f, b);
-  if (hamming_distance(a, b) == 1 && f.phase(a) == f.phase(b)) total -= 2;
-  return total;
-}
-
-}  // namespace
 
 SyntheticOptions options_for_target(unsigned num_inputs, double dc_fraction,
                                     double target_cf) {
@@ -91,17 +68,24 @@ TernaryTruthTable generate_function(const SyntheticOptions& options,
     for (std::uint32_t i = size; i > 1; --i)
       std::swap(phases[i - 1], phases[rng.below(i)]);
   }
-  for (std::uint32_t m = 0; m < size; ++m) f.set_phase(m, phases[m]);
 
   // Anneal phase swaps toward the target complexity factor. The running
-  // same-phase pair count S relates to C^f by C^f = S / (n * 2^n).
+  // same-phase pair count S relates to C^f by C^f = S / (n * 2^n). Each
+  // minterm keeps how many of its neighbours sit in each phase, so S is
+  // their sum over own phases and a proposal's change of S is read off the
+  // two minterms' counts; neighbours are touched only when a swap is taken.
+  std::vector<std::array<std::uint8_t, 3>> counts(size);
+  std::int64_t s = 0;
+  for (std::uint32_t m = 0; m < size; ++m) {
+    for (unsigned j = 0; j < n; ++j)
+      ++counts[m][static_cast<std::size_t>(phases[flip_bit(m, j)])];
+    s += counts[m][static_cast<std::size_t>(phases[m])];
+  }
   const double denom = static_cast<double>(n) * static_cast<double>(size);
   const auto target =
       static_cast<std::int64_t>(std::llround(options.target_complexity * denom));
   const auto tolerance =
       static_cast<std::int64_t>(std::llround(options.tolerance * denom));
-
-  std::int64_t s = static_cast<std::int64_t>(same_phase_pairs(f));
 
   // Simulated annealing on the energy E = |S - target|, measured in
   // same-phase-pair units. From a random start, early moves are nearly free
@@ -121,28 +105,35 @@ TernaryTruthTable generate_function(const SyntheticOptions& options,
     if (std::llabs(s - target) <= tolerance) break;
     const auto a = static_cast<std::uint32_t>(rng.below(size));
     const auto b = static_cast<std::uint32_t>(rng.below(size));
-    const Phase pa = f.phase(a);
-    const Phase pb = f.phase(b);
+    const auto pa = static_cast<std::size_t>(phases[a]);
+    const auto pb = static_cast<std::size_t>(phases[b]);
     if (pa == pb) continue;
 
-    const auto before = static_cast<std::int64_t>(joint_pairs(f, a, b));
-    f.set_phase(a, pb);
-    f.set_phase(b, pa);
-    const auto after = static_cast<std::int64_t>(joint_pairs(f, a, b));
-    const std::int64_t s_new = s + after - before;
+    // With pa != pb, a sees b among its pb-neighbours before the swap but
+    // not after, and likewise b sees a; the pair itself never matches.
+    const std::int64_t adjacent = hamming_distance(a, b) == 1 ? 1 : 0;
+    const std::int64_t s_new =
+        s + 2 * (counts[a][pb] + counts[b][pa] - 2 * adjacent -
+                 counts[a][pa] - counts[b][pb]);
 
     const auto energy_old = static_cast<double>(std::llabs(s - target));
     const auto energy_new = static_cast<double>(std::llabs(s_new - target));
     const bool accept =
         energy_new <= energy_old ||
         rng.uniform() < std::exp((energy_old - energy_new) / temperature);
-    if (accept) {
-      s = s_new;
-    } else {
-      f.set_phase(a, pa);
-      f.set_phase(b, pb);
+    if (!accept) continue;
+    s = s_new;
+    std::swap(phases[a], phases[b]);
+    for (unsigned j = 0; j < n; ++j) {
+      auto& near_a = counts[flip_bit(a, j)];
+      --near_a[pa];
+      ++near_a[pb];
+      auto& near_b = counts[flip_bit(b, j)];
+      --near_b[pb];
+      ++near_b[pa];
     }
   }
+  for (std::uint32_t m = 0; m < size; ++m) f.set_phase(m, phases[m]);
   return f;
 }
 
