@@ -193,6 +193,19 @@ for key in ("rows", "meta"):
         f"committed: {committed[key]}\nfresh:     {fresh[key]}")
 EOF
 
+# The same gate for the Section-4 decomposition: a fresh bench_nodal run
+# must reproduce the committed BENCH_nodal.json rows (AND counts, rewrite
+# and DC counters, masking rates) and meta exactly.
+./build/bench/bench_nodal --json "$smoke_dir/nodal.json" > /dev/null
+python3 - BENCH_nodal.json "$smoke_dir/nodal.json" <<'EOF'
+import json, sys
+committed, fresh = (json.load(open(path)) for path in sys.argv[1:3])
+for key in ("rows", "meta"):
+    assert fresh[key] == committed[key], (
+        f"bench_nodal {key} differ from BENCH_nodal.json:\n"
+        f"committed: {committed[key]}\nfresh:     {fresh[key]}")
+EOF
+
 echo
 echo "== §10 fault-isolation smoke =="
 # Run A: one healthy circuit, one malformed BLIF, one circuit engineered to
