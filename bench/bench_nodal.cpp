@@ -45,8 +45,6 @@ int main(int argc, char** argv) {
   obs::RunReport report("nodal");
   constexpr unsigned kSamples = 2000;
   report.meta().set("mask_samples", kSamples);
-  // The largest suite entries make exhaustive per-node extraction slow;
-  // the technique is demonstrated on the small/medium benchmarks.
   for (const char* name :
        {"bench", "fout", "p3", "p1", "exp", "test4", "ex1010", "exam"}) {
     const exec::Status status = bench::run_guarded(options_cli, [&] {

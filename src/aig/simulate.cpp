@@ -61,6 +61,45 @@ TernaryTruthTable AigSimulator::output_table(unsigned o) const {
   return tt;
 }
 
+SimWords AigSimulator::observability(std::uint32_t node) const {
+  // flipped[v - node] is v's table with `node` complemented; it stays empty
+  // where v does not depend on `node`, whose table is then unchanged.
+  std::vector<SimWords> flipped(aig_.num_nodes() - node);
+  const auto changed = [&](std::uint32_t v) {
+    return v >= node && !flipped[v - node].empty();
+  };
+  const auto table = [&](std::uint32_t v) -> const SimWords& {
+    return changed(v) ? flipped[v - node] : tables_[v];
+  };
+  flipped[0] = tables_[node];
+  for (auto& w : flipped[0]) w = ~w;
+  for (std::uint32_t v = node + 1; v < aig_.num_nodes(); ++v) {
+    const std::uint32_t f0 = aig_.fanin0(v);
+    const std::uint32_t f1 = aig_.fanin1(v);
+    if (!changed(aiglit::node_of(f0)) && !changed(aiglit::node_of(f1)))
+      continue;
+    const SimWords& t0 = table(aiglit::node_of(f0));
+    const SimWords& t1 = table(aiglit::node_of(f1));
+    const std::uint64_t inv0 = aiglit::is_complemented(f0) ? ~0ull : 0ull;
+    const std::uint64_t inv1 = aiglit::is_complemented(f1) ? ~0ull : 0ull;
+    SimWords out(words_);
+    for (std::size_t w = 0; w < words_; ++w)
+      out[w] = (t0[w] ^ inv0) & (t1[w] ^ inv1);
+    flipped[v - node] = std::move(out);
+  }
+
+  SimWords observable(words_, 0);
+  for (const std::uint32_t lit : aig_.outputs()) {
+    const std::uint32_t v = aiglit::node_of(lit);
+    if (!changed(v)) continue;
+    for (std::size_t w = 0; w < words_; ++w)
+      observable[w] |= tables_[v][w] ^ flipped[v - node][w];
+  }
+  const unsigned tail = num_vectors_ % 64;
+  if (tail != 0) observable.back() &= (1ull << tail) - 1;
+  return observable;
+}
+
 bool aig_output_equals(const Aig& aig, unsigned o,
                        const TernaryTruthTable& expected) {
   const AigSimulator sim(aig);

@@ -1,6 +1,7 @@
 // Exhaustive AIG simulation: per-node truth tables over all 2^n input
 // vectors. Used for equivalence checking, power estimation (exact signal
-// probabilities) and local-function extraction in nodal decomposition.
+// probabilities), and local-function and observability extraction in nodal
+// decomposition.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,12 @@ class AigSimulator {
 
   /// Truth table of output `o` as a completely specified ternary table.
   TernaryTruthTable output_table(unsigned o) const;
+
+  /// Input vectors on which complementing `node` changes at least one
+  /// primary output (its observability set; the complement holds the
+  /// node's observability don't cares). Only the node's transitive fanout
+  /// is re-simulated.
+  SimWords observability(std::uint32_t node) const;
 
   std::uint32_t num_vectors() const { return num_vectors_; }
 

@@ -10,20 +10,19 @@
 // CODC compatibility problem). This implementation stays sound by rewriting
 // ONE node per pass against don't cares extracted from the *current*
 // network, then re-simulating; each accepted rewrite preserves the primary
-// outputs exactly, so their composition does too.
+// outputs exactly, so their composition does too. The rewriter is the one
+// in renode.cpp; only the DC set and the one-node discipline differ.
 #pragma once
 
 #include <cstdint>
 
 #include "aig/aig.hpp"
+#include "decomp/renode.hpp"
 
 namespace rdc {
 
-struct OdcRenodeOptions {
-  unsigned max_node_inputs = 10;
-  double lcf_threshold = 0.55;
-  bool reliability_assign = true;  ///< LC^f pass on the extracted DCs
-  unsigned max_rewrites = 64;      ///< outer-loop bound
+struct OdcRenodeOptions : RenodeOptions {
+  unsigned max_rewrites = 64;  ///< outer-loop bound
 };
 
 struct OdcRenodeResult {

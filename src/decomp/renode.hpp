@@ -40,7 +40,8 @@ RenodeResult renode_and_assign(const Aig& aig,
 
 /// Monte-Carlo internal masking metric: fraction of (random input vector,
 /// random AND node output flip) events that change at least one primary
-/// output. Lower is better.
+/// output. Lower is better. Input count must be <= 20 (each sampled node's
+/// observability is read off exhaustive simulation).
 double internal_error_rate(const Aig& aig, unsigned samples, Rng& rng);
 
 }  // namespace rdc
