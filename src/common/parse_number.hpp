@@ -1,13 +1,16 @@
-// Checked parsing of numeric command-line values.
+// Number text: checked parsing of numeric values (command-line flags, pass
+// and fault-model arguments, RDC_CHAOS) and the one shortest round-trip
+// formatter for doubles (canonical spec strings, metric gauges, JSON).
 //
 // std::atoi/atof/strtod(…, nullptr) turn "abc" into 0 and "-1" into a huge
 // unsigned value without complaint, so a mistyped flag silently changes
 // behaviour. parse_number accepts a value only if it parses completely and
-// fits the target type; the command-line tools reject the flag otherwise.
+// fits the target type; callers reject the text otherwise.
 #pragma once
 
 #include <charconv>
 #include <cmath>
+#include <string>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
@@ -30,6 +33,15 @@ bool parse_number(std::string_view text, T& out) {
     if (!std::isfinite(value)) return false;
   out = value;
   return true;
+}
+
+/// Shortest decimal form of `value` that parses back to the same double
+/// (std::to_chars), so canonical strings are deterministic.
+inline std::string format_double(double value) {
+  char buffer[32];
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  if (ec != std::errc()) return "0";
+  return std::string(buffer, end);
 }
 
 }  // namespace rdc

@@ -1,11 +1,10 @@
 #include "flow/pass.hpp"
 
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "aig/balance.hpp"
+#include "common/parse_number.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "decomp/renode.hpp"
@@ -98,30 +97,10 @@ exec::Status Design::require(Artifact artifact, const char* who) const {
                           "' artifact; run a pass that produces it first");
 }
 
-std::string format_double(double value) {
-  char buffer[32];
-  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  if (ec != std::errc()) return "0";
-  return std::string(buffer, end);
-}
-
 namespace {
 
 exec::Status invalid(std::string message) {
   return exec::Status(exec::StatusCode::kInvalidArgument, std::move(message));
-}
-
-bool parse_double_arg(const std::string& text, double& out) {
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  out = std::strtod(begin, &end);
-  return end == begin + text.size() && !text.empty();
-}
-
-bool parse_unsigned_arg(const std::string& text, unsigned& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc() && ptr == text.data() + text.size();
 }
 
 // --- DC assignment -------------------------------------------------------
@@ -553,7 +532,7 @@ exec::Status make_assign(AssignPass::Kind kind, const std::string& name,
   double param = fallback;
   bool balanced = false;
   if (!args.empty()) {
-    if (!parse_double_arg(args[0], param))
+    if (!parse_number(args[0], param))
       return invalid("pass '" + name + "': '" + args[0] +
                      "' is not a number");
     if (kind == AssignPass::Kind::kLcf) {
@@ -598,7 +577,7 @@ exec::Status make_pass(const std::string& name,
     int max_iterations = -1;
     if (!args.empty()) {
       unsigned value = 0;
-      if (!parse_unsigned_arg(args[0], value) || value > 1000)
+      if (!parse_number(args[0], value) || value > 1000)
         return invalid("pass 'espresso': '" + args[0] +
                        "' is not an iteration count in [0, 1000]");
       max_iterations = static_cast<int>(value);
@@ -620,7 +599,7 @@ exec::Status make_pass(const std::string& name,
     if (exec::Status s = check_arity(name, args, 1); !s.ok()) return s;
     unsigned max_kernels = ExtractPass::kDefaultMaxKernels;
     if (!args.empty() &&
-        (!parse_unsigned_arg(args[0], max_kernels) || max_kernels == 0 ||
+        (!parse_number(args[0], max_kernels) || max_kernels == 0 ||
          max_kernels > 4096))
       return invalid("pass 'extract': '" + args[0] +
                      "' is not a kernel count in [1, 4096]");
@@ -665,7 +644,7 @@ exec::Status make_pass(const std::string& name,
       // Double grammar so scientific notation works ("1e6"), but the value
       // must be a whole draw count in [1, 1e9].
       double value = 0.0;
-      if (!parse_double_arg(args[0], value) || !(value >= 1.0) ||
+      if (!parse_number(args[0], value) || !(value >= 1.0) ||
           !(value <= 1e9) || value != std::floor(value))
         return invalid("pass 'error_rate:sampled': '" + args[0] +
                        "' is not a sample count in [1, 1e9]");

@@ -259,8 +259,4 @@ exec::Status make_pass(const std::string& name,
 /// messages and the spec fuzzer's dictionary).
 std::vector<std::string> pass_names();
 
-/// Shortest round-tripping decimal form of `value` (std::to_chars), used
-/// for canonical pass/pipeline spec strings.
-std::string format_double(double value);
-
 }  // namespace rdc::flow

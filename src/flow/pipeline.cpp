@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/parse_number.hpp"
 #include "common/thread_pool.hpp"
 #include "exec/fault.hpp"
 #include "obs/events.hpp"

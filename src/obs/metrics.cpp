@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -11,6 +10,7 @@
 #include <cstring>
 #include <thread>
 
+#include "common/parse_number.hpp"
 #include "exec/budget.hpp"
 #include "exec/shutdown.hpp"
 #include "obs/events.hpp"
@@ -26,15 +26,6 @@
 namespace rdc::obs {
 
 namespace {
-
-/// to_chars rendering so gauge values are byte-deterministic, matching the
-/// JSON writer's number policy.
-std::string format_number(double value) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
-  if (ec != std::errc()) return "0";
-  return std::string(buf, end);
-}
 
 #if defined(__linux__)
 rusage current_rusage() {
@@ -118,7 +109,7 @@ std::string Snapshot::to_prometheus() const {
     if (!gauge.help.empty())
       out += "# HELP " + name + " " + gauge.help + "\n";
     out += "# TYPE " + name + " gauge\n";
-    out += name + " " + format_number(gauge.value) + "\n";
+    out += name + " " + format_double(gauge.value) + "\n";
   }
   for (const auto& [counter, value] : counters) {
     const std::string name = prom_name(counter, "_total");

@@ -143,6 +143,11 @@ TEST(PipelineSpec, ErrorsCarryByteOffsets) {
       {"factor(3)", "at most 0 arguments"},
       {"espresso(-1)", "not an iteration count"},
       {"espresso ; factor", "expected '|' or end of spec"},
+      // Spellings strtod would take but the checked number parser refuses.
+      {"assign:ranking(+0.5)", "not a number"},
+      {"assign:ranking(0x1p-1)", "not a number"},
+      {"assign:ranking(0.5)@bitflip_weighted(1,+0.5)",
+       "not a non-negative weight"},
   };
   for (const auto& c : cases) {
     exec::Result<flow::Pipeline> result = flow::parse_pipeline(c.spec);
