@@ -2,7 +2,10 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+
+#include "common/parse_number.hpp"
 
 namespace rdc::obs {
 
@@ -110,14 +113,10 @@ JsonWriter& JsonWriter::value(std::string_view v) {
 
 JsonWriter& JsonWriter::value(double v) {
   prepare_for_value();
-  char buf[32];
   // Shortest round-trip representation; deterministic for a given double.
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  if (ec == std::errc()) {
-    out_.append(buf, end);
-  } else {
-    out_ += "null";  // non-finite values have no JSON spelling
-  }
+  // Non-finite values have no JSON spelling (to_chars would write "inf" or
+  // "nan", which no parser accepts).
+  out_ += std::isfinite(v) ? format_double(v) : "null";
   return *this;
 }
 

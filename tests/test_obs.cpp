@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -81,6 +82,22 @@ TEST(ObsJson, WriterParserRoundTrip) {
   EXPECT_EQ(doc->find("list")->array[1].string, "two");
   EXPECT_EQ(doc->find("nested")->find("k")->string, "v");
   EXPECT_EQ(doc->find("absent"), nullptr);
+}
+
+TEST(ObsJson, NonFiniteNumbersWriteNull) {
+  // A ratio over an empty denominator must still yield a parseable
+  // document.
+  JsonWriter w;
+  w.begin_array();
+  w.value(std::numeric_limits<double>::infinity());
+  w.value(-std::numeric_limits<double>::infinity());
+  w.value(std::numeric_limits<double>::quiet_NaN());
+  w.end_array();
+  std::string error;
+  const auto doc = parse_json(w.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << error << ": " << w.str();
+  ASSERT_EQ(doc->array.size(), 3u);
+  for (const auto& element : doc->array) EXPECT_TRUE(element.is_null());
 }
 
 TEST(ObsJson, ObjectMembersKeepSourceOrder) {
