@@ -84,8 +84,10 @@ TernaryTruthTable generate_function(const SyntheticOptions& options,
   const double denom = static_cast<double>(n) * static_cast<double>(size);
   const auto target =
       static_cast<std::int64_t>(std::llround(options.target_complexity * denom));
-  const auto tolerance =
-      static_cast<std::int64_t>(std::llround(options.tolerance * denom));
+  // S counts ordered pairs and so is always even: an odd target at
+  // tolerance 0 is met at distance 1, or the loop could never stop early.
+  const auto tolerance = std::max<std::int64_t>(
+      std::llround(options.tolerance * denom), target & 1);
 
   // Simulated annealing on the energy E = |S - target|, measured in
   // same-phase-pair units. From a random start, early moves are nearly free
